@@ -13,8 +13,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -432,8 +430,7 @@ def _lpm_fit_bins(bins, u, y, cfg, n_bins, g, transient, variance,
 
 
 def lpm_fit(spectra: SpectrumSet, cfg: LpmConfig = None, input_channels=(0,),
-            output_channels=(1,), bins=None, return_local_models: bool = False,
-            n_threads: int = None):
+            output_channels=(1,), bins=None, return_local_models: bool = False):
     """Local polynomial FRF and transient estimate from one window.
 
     For every bin a polynomial model of the FRF (all inputs, Kronecker
@@ -450,9 +447,6 @@ def lpm_fit(spectra: SpectrumSet, cfg: LpmConfig = None, input_channels=(0,),
         skipped bins stay NaN without defect records.
     return_local_models : also return the full per-bin coefficient
         blocks (list indexed by bin, None where not fitted).
-    n_threads : worker threads for the independent per-bin fits;
-        defaults to the FRFKIT_THREADS environment variable, else 1.
-        Results are identical to the sequential computation.
     """
     if spectra.n_windows != 1:
         raise ValueError(
@@ -481,26 +475,9 @@ def lpm_fit(spectra: SpectrumSet, cfg: LpmConfig = None, input_channels=(0,),
     variance = np.full((n_bins, n_y, n_u), np.nan)
     local_models = [None] * n_bins if return_local_models else None
 
-    if n_threads is None:
-        n_threads = int(os.environ.get("FRFKIT_THREADS", "1"))
-    n_threads = max(1, min(n_threads, len(bins) or 1))
-    if n_threads == 1 or len(bins) < 2 * n_threads:
-        defects = []
-        _lpm_fit_bins(bins, u, y, cfg, n_bins, g, transient, variance,
-                      local_models, defects)
-    else:
-        chunks = np.array_split(bins, n_threads)
-        chunk_defects = [[] for _ in chunks]
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            futures = [
-                pool.submit(_lpm_fit_bins, chunk, u, y, cfg, n_bins, g,
-                            transient, variance, local_models, dlist)
-                for chunk, dlist in zip(chunks, chunk_defects)
-            ]
-            for fut in futures:
-                fut.result()
-        defects = [d for dlist in chunk_defects for d in dlist]
-        defects.sort(key=lambda d: d.bin_index)
+    defects = []
+    _lpm_fit_bins(bins, u, y, cfg, n_bins, g, transient, variance,
+                  local_models, defects)
 
     tag = {"estimator": "lpm", "poly_order": cfg.poly_order,
            "half_width": cfg.half_width, "dof_margin": cfg.dof_margin}

@@ -201,7 +201,9 @@ def lsim(m: StateSpaceModel, u: TimeSeries, x0=None) -> SimulationRecord:
     """Simulate ``x(n+1) = A x(n) + B u(n)``, ``y(n) = C x(n) + D u(n)``.
 
     Records the initial state and the state reached after the last input
-    sample.
+    sample. This is the package's one state recursion:
+    :func:`simulate_closed_loop` and :meth:`ControllerConfig.filter` run
+    through it.
     """
     if m.is_continuous:
         raise ValueError("lsim needs a discrete-time model; discretize first")
@@ -210,26 +212,25 @@ def lsim(m: StateSpaceModel, u: TimeSeries, x0=None) -> SimulationRecord:
     if u.n_channels != m.n_inputs:
         raise ValueError(
             f"input has {u.n_channels} channels, model expects {m.n_inputs}")
-    x = np.zeros(m.n_states) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if x.shape != (m.n_states,):
+    x0 = np.zeros(m.n_states) if x0 is None else np.asarray(x0, dtype=float).copy()
+    if x0.shape != (m.n_states,):
         raise ValueError(f"x0 must have {m.n_states} entries")
-    n = u.n_samples
-    a, b = m.a, m.b
-    states = np.empty((m.n_states, n))
-    x0_saved = x.copy()
-    data = u.data
-    for i in range(n):
-        states[:, i] = x
-        x = a @ x + b @ data[:, i]
-    y = m.c @ states + m.d @ data
+    a, b, data = m.a, m.b, u.data
+    states = np.empty((u.n_samples, m.n_states))
+    x = x0
+    dot = np.dot  # lower per-call overhead than ``@`` on these tiny operands
+    for i, u_i in enumerate(data.T):
+        states[i] = x
+        x = dot(a, x) + dot(b, u_i)
+    y = m.c @ states.T
+    y += m.d @ data
     names = tuple(f"y{i + 1}" for i in range(m.n_outputs))
-    zero_noise = TimeSeries(np.zeros_like(y), u.ts, names)
     return SimulationRecord(
         d=u,
         u=u,
         y=TimeSeries(y, u.ts, names),
-        v=zero_noise,
-        x0=x0_saved,
+        v=TimeSeries(np.zeros(y.shape), u.ts, names),
+        x0=x0,
         xN=x,
     )
 
@@ -324,23 +325,15 @@ class ControllerConfig:
         return out
 
     def filter(self, x: np.ndarray) -> np.ndarray:
-        """Apply each loop's transfer function to the matching channel.
+        """Apply each loop's transfer function to the matching channel,
+        starting from zero controller state.
 
-        Same state recursion as the closed-loop simulator, so filtering
-        the recorded feedback signal reproduces the recorded controller
-        action exactly.
+        Runs :func:`lsim` on :meth:`state_space`, exactly as
+        :func:`simulate_closed_loop` computes the recorded controller
+        action, so filtering a zero-start record's measured output
+        reproduces ``d - u`` bit for bit.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[0] != self.n_loops:
-            raise ValueError(f"expected {self.n_loops} channels, got {x.shape[0]}")
-        ss = self.state_space()
-        n = x.shape[1]
-        out = np.empty_like(x)
-        xc = np.zeros(ss.n_states)
-        for i in range(n):
-            out[:, i] = ss.c @ xc + ss.d @ x[:, i]
-            xc = ss.a @ xc + ss.b @ x[:, i]
-        return out
+        return lsim(self.state_space(), TimeSeries(x, self.ts)).y.data
 
 
 def closed_loop_system(plant: StateSpaceModel, ctrl: ControllerConfig) -> StateSpaceModel:
@@ -391,17 +384,17 @@ def closed_loop_system(plant: StateSpaceModel, ctrl: ControllerConfig) -> StateS
     return StateSpaceModel(a, b, c, d, ts=plant.ts)
 
 
-def closed_loop_stable(plant: StateSpaceModel, ctrl: ControllerConfig) -> bool:
-    return closed_loop_system(plant, ctrl).is_stable()
-
-
-def assert_closed_loop_stable(plant: StateSpaceModel, ctrl: ControllerConfig) -> None:
+def assert_closed_loop_stable(plant: StateSpaceModel,
+                              ctrl: ControllerConfig) -> StateSpaceModel:
+    """Raise :class:`UnstableLoopError` unless the loop is stable; return
+    the combined model of :func:`closed_loop_system`."""
     sys = closed_loop_system(plant, ctrl)
     eig = sys.eigenvalues()
     worst = float(np.max(np.abs(eig)))
     if worst >= 1.0:
         raise UnstableLoopError(
             f"closed loop is unstable: largest eigenvalue magnitude {worst:.6g}")
+    return sys
 
 
 def simulate_closed_loop(plant: StateSpaceModel, ctrl: ControllerConfig,
@@ -409,12 +402,14 @@ def simulate_closed_loop(plant: StateSpaceModel, ctrl: ControllerConfig,
                          x_plant0=None, x_ctrl0=None) -> SimulationRecord:
     """Closed-loop run with excitation at the plant input.
 
-    Sample by sample: ``y(n) = C x_p(n) + D u(n)``, the measured output
-    is ``y + v`` with white Gaussian ``v`` per output, and
-    ``u(n) = d(n) - K(y + v)(n)`` where K acts through its state-space
-    realization. The algebraic loop (plant and controller feedthrough)
-    is solved exactly when well posed and rejected otherwise. The
-    recorded ``y`` is the measured output.
+    The loop is ``u = d - K(y + v)`` with white Gaussian ``v`` per output
+    and K acting through its state-space realization. The combined model
+    of :func:`closed_loop_system` (which solves the algebraic loop, or
+    rejects it when ill posed) is run through :func:`lsim` with inputs
+    ``[d; v]`` from the stacked plant-then-controller start. The recorded
+    ``y`` is the measured output ``y + v``; the recorded ``u`` is ``d``
+    minus the controller applied to that measured output from its own
+    start, so ``u == d - K(y)`` holds bit for bit.
     """
     if plant.is_continuous:
         raise ValueError("pass the discretized plant")
@@ -422,7 +417,7 @@ def simulate_closed_loop(plant: StateSpaceModel, ctrl: ControllerConfig,
         raise ValueError(f"excitation has {d.n_channels} channels, plant expects {plant.n_inputs}")
     if abs(d.ts - plant.ts) > 1e-12 * plant.ts:
         raise ValueError("excitation ts does not match the plant")
-    assert_closed_loop_stable(plant, ctrl)
+    sys = assert_closed_loop_stable(plant, ctrl)
     kss = ctrl.state_space()
     n_u, n_y = plant.n_inputs, plant.n_outputs
     n = d.n_samples
@@ -438,48 +433,23 @@ def simulate_closed_loop(plant: StateSpaceModel, ctrl: ControllerConfig,
     else:
         v = np.zeros((n_y, n))
 
-    ap, bp, cp, dp = plant.a, plant.b, plant.c, plant.d
-    ac, bc, cc, dc = kss.a, kss.b, kss.c, kss.d
-    loop_gain = np.eye(n_u) + dc @ dp
-    if abs(np.linalg.det(loop_gain)) < 1e-12:
-        raise IllPosedLoopError(
-            "plant and controller feedthrough form a singular algebraic loop")
-    w = np.linalg.inv(loop_gain)
-    feedthrough = not np.all(dp == 0.0)
-
-    xp = np.zeros(plant.n_states) if x_plant0 is None else np.asarray(x_plant0, dtype=float).copy()
-    xc = np.zeros(kss.n_states) if x_ctrl0 is None else np.asarray(x_ctrl0, dtype=float).copy()
+    xp = np.zeros(plant.n_states) if x_plant0 is None else np.asarray(x_plant0, dtype=float)
+    xc = np.zeros(kss.n_states) if x_ctrl0 is None else np.asarray(x_ctrl0, dtype=float)
     if xp.shape != (plant.n_states,) or xc.shape != (kss.n_states,):
         raise ValueError("initial state dimensions do not match plant/controller")
-    x0 = np.concatenate([xp, xc])
 
-    u = np.empty((n_u, n))
-    y_meas = np.empty((n_y, n))
-    data = d.data
-    for i in range(n):
-        y_free = cp @ xp
-        if feedthrough:
-            u_i = w @ (data[:, i] - cc @ xc - dc @ (y_free + v[:, i]))
-            fb = y_free + dp @ u_i + v[:, i]
-        else:
-            # same evaluation order as ControllerConfig.filter so that
-            # u == d - K(y_measured) holds bit for bit
-            fb = y_free + v[:, i]
-            u_i = data[:, i] - (cc @ xc + dc @ fb)
-        u[:, i] = u_i
-        y_meas[:, i] = fb
-        xp = ap @ xp + bp @ u_i
-        xc = ac @ xc + bc @ fb
     ts = d.ts
-    u_names = tuple(f"u{i + 1}" for i in range(n_u))
-    y_names = tuple(f"y{i + 1}" for i in range(n_y))
+    loop = lsim(sys, TimeSeries(np.vstack([d.data, v]), ts),
+                x0=np.concatenate([xp, xc]))
+    y = TimeSeries(loop.y.data[n_u:] + v, ts, tuple(f"y{i + 1}" for i in range(n_y)))
+    k_of_y = lsim(kss, y, x0=xc).y.data
     return SimulationRecord(
         d=d,
-        u=TimeSeries(u, ts, u_names),
-        y=TimeSeries(y_meas, ts, y_names),
+        u=TimeSeries(d.data - k_of_y, ts, tuple(f"u{i + 1}" for i in range(n_u))),
+        y=y,
         v=TimeSeries(v, ts, tuple(f"v{i + 1}" for i in range(n_y))),
-        x0=x0,
-        xN=np.concatenate([xp, xc]),
+        x0=loop.x0,
+        xN=loop.xN,
     )
 
 

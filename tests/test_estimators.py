@@ -348,15 +348,6 @@ class TestLpm:
         assert np.max(np.abs(est.g[ik] - g_of_k[ik])) <= 1e-10
         assert np.max(np.abs(est.transient[ik] - t_of_k[ik])) <= 1e-10
 
-    def test_thread_env_variable_honored(self, monkeypatch, steady_record):
-        _, stacked = steady_record
-        sp = spectrum_set(stacked)
-        cfg = LpmConfig.auto(1, 2)
-        ref = lpm_fit(sp, cfg, input_channels=[0], output_channels=[1])
-        monkeypatch.setenv("FRFKIT_THREADS", "3")
-        env = lpm_fit(sp, cfg, input_channels=[0], output_channels=[1])
-        assert np.array_equal(ref.g, env.g, equal_nan=True)
-
     def test_steady_state_transient_negligible(self, plant_d, steady_record):
         spec, stacked = steady_record
         sp = spectrum_set(stacked)  # single window over both periods
@@ -450,16 +441,6 @@ class TestLpm:
         assert len(est.defects) == 32
         assert {d.reason for d in est.defects} == {"rank_deficient_regressor"}
         assert np.all(np.isnan(est.g))
-
-    def test_thread_count_does_not_change_result(self, steady_record):
-        _, stacked = steady_record
-        sp = spectrum_set(stacked)
-        cfg = LpmConfig.auto(1, 2)
-        seq = lpm_fit(sp, cfg, input_channels=[0], output_channels=[1], n_threads=1)
-        par = lpm_fit(sp, cfg, input_channels=[0], output_channels=[1], n_threads=4)
-        assert np.array_equal(seq.g, par.g, equal_nan=True)
-        assert np.array_equal(seq.transient, par.transient, equal_nan=True)
-        assert np.array_equal(seq.variance, par.variance, equal_nan=True)
 
     def test_bin_subset(self, steady_record):
         _, stacked = steady_record

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from frfkit.estimators import FrfEstimate
 from frfkit.signals import MultisineSpec, TimeSeries, dft, generate_multisine
 from frfkit.sim import (
     ControllerConfig,
+    IllPosedLoopError,
     StateSpaceModel,
     UnstableLoopError,
     benchmark_plant,
@@ -226,6 +230,109 @@ class TestClosedLoop:
         rec2 = lsim(sys, stacked)
         assert np.allclose(rec2.y.data[:2], rec.u.data, atol=1e-12)
         assert np.allclose(rec2.y.data[2:], rec.y.data, atol=1e-12)
+
+    @pytest.fixture(scope="class")
+    def feedthrough_loop(self, plant_d):
+        dp = 0.01 * np.array([[1.0, 0.3], [0.2, 1.0]])
+        plant = StateSpaceModel(plant_d.a, plant_d.b, plant_d.c, dp, ts=TS)
+        return plant, ControllerConfig.for_plant(plant, gain=20.0)
+
+    def test_feedthrough_loop_algebra_exact(self, feedthrough_loop):
+        plant, ctrl = feedthrough_loop
+        spec = MultisineSpec.flat(500, rms=1.0, phase_seed=15, n_periods=2)
+        d = two_channel(generate_multisine(spec, TS))
+        rec = simulate_closed_loop(plant, ctrl, d)
+        assert np.array_equal(rec.u.data, d.data - ctrl.filter(rec.y.data))
+        stacked = TimeSeries(np.vstack([d.data, np.zeros((2, d.n_samples))]), TS)
+        ref = lsim(closed_loop_system(plant, ctrl), stacked)
+        assert np.allclose(ref.y.data[:2], rec.u.data, rtol=0, atol=1e-12)
+        assert np.allclose(ref.y.data[2:], rec.y.data, rtol=0, atol=1e-12)
+        assert np.allclose(ref.xN, rec.xN, rtol=0, atol=1e-12)
+
+    def test_feedthrough_loop_nonzero_start(self, feedthrough_loop):
+        plant, ctrl = feedthrough_loop
+        rng = np.random.default_rng(16)
+        d = TimeSeries(rng.standard_normal((2, 300)), TS)
+        xp0, xc0 = rng.standard_normal(4), rng.standard_normal(2)
+        rec = simulate_closed_loop(plant, ctrl, d, x_plant0=xp0, x_ctrl0=xc0)
+        stacked = TimeSeries(np.vstack([d.data, np.zeros((2, d.n_samples))]), TS)
+        ref = lsim(closed_loop_system(plant, ctrl), stacked,
+                   x0=np.concatenate([xp0, xc0]))
+        assert np.array_equal(rec.x0, ref.x0)
+        assert np.allclose(ref.y.data[:2], rec.u.data, rtol=0, atol=1e-12)
+        assert np.allclose(ref.y.data[2:], rec.y.data, rtol=0, atol=1e-12)
+
+    def test_singular_algebraic_loop_rejected(self, plant_d):
+        ctrl = ControllerConfig.lead(2, TS, gain=20.0)
+        # D_c = 20 I, so I + D_c D_p vanishes for D_p = -I/20
+        plant = StateSpaceModel(plant_d.a, plant_d.b, plant_d.c,
+                                -np.eye(2) / 20.0, ts=TS)
+        d = TimeSeries(np.zeros((2, 10)), TS)
+        with pytest.raises(IllPosedLoopError):
+            simulate_closed_loop(plant, ctrl, d)
+
+
+def reference_recursion(m: StateSpaceModel, u: np.ndarray, x0: np.ndarray):
+    """Textbook per-sample state recursion; returns outputs and final state."""
+    x = x0.copy()
+    y = np.empty((m.n_outputs, u.shape[1]))
+    for i in range(u.shape[1]):
+        y[:, i] = m.c @ x + m.d @ u[:, i]
+        x = m.a @ x + m.b @ u[:, i]
+    return y, x
+
+
+def assert_close_rel(actual, expected, rtol=1e-12):
+    scale = max(1.0, float(np.max(np.abs(expected), initial=0.0)))
+    assert np.allclose(actual, expected, rtol=0, atol=rtol * scale)
+
+
+@st.composite
+def stable_models(draw, square=False):
+    """Small random discrete-time models with spectral radius <= 0.9."""
+    n = draw(st.integers(1, 4))
+    n_u = draw(st.integers(1, 2))
+    n_y = n_u if square else draw(st.integers(1, 2))
+    entries = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+    a = draw(hnp.arrays(float, (n, n), elements=entries))
+    radius = float(np.max(np.abs(np.linalg.eigvals(a))))
+    a = a * (0.9 / max(radius, 0.9))
+    b = draw(hnp.arrays(float, (n, n_u), elements=entries))
+    c = draw(hnp.arrays(float, (n_y, n), elements=entries))
+    d = draw(hnp.arrays(float, (n_y, n_u), elements=entries))
+    return StateSpaceModel(a, b, c, d, ts=TS)
+
+
+def inputs_for(m: StateSpaceModel):
+    return hnp.arrays(float, (m.n_inputs, 40),
+                      elements=st.floats(-10.0, 10.0, allow_nan=False,
+                                         allow_subnormal=False))
+
+
+class TestSimulationProperties:
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(data=st.data())
+    def test_lsim_matches_reference_recursion(self, data):
+        m = data.draw(stable_models())
+        u = data.draw(inputs_for(m))
+        x0 = data.draw(hnp.arrays(float, (m.n_states,),
+                                  elements=st.floats(-1.0, 1.0, allow_nan=False)))
+        rec = lsim(m, TimeSeries(u, TS), x0=x0)
+        y_ref, x_ref = reference_recursion(m, u, x0)
+        assert_close_rel(rec.y.data, y_ref)
+        assert_close_rel(rec.xN, x_ref)
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(data=st.data(), noise_std=st.floats(0.0, 1.0), noise_seed=st.integers(0, 2**31))
+    def test_zero_controller_is_open_loop(self, data, noise_std, noise_seed):
+        m = data.draw(stable_models(square=True))
+        d = TimeSeries(data.draw(inputs_for(m)), TS)
+        n = m.n_inputs
+        ctrl0 = ControllerConfig(((0.0,),) * n, ((1.0,),) * n, TS)
+        rec = simulate_closed_loop(m, ctrl0, d, noise_std=noise_std,
+                                   noise_seed=noise_seed)
+        assert np.array_equal(rec.u.data, d.data)
+        assert_close_rel(rec.y.data, lsim(m, d).y.data + rec.v.data)
 
 
 class TestTrueFrf:

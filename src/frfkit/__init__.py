@@ -19,7 +19,6 @@ from .closedloop import (
     interaction_term,
     run_mimo_experiments,
     sensitivity_pair,
-    true_process_sensitivity,
     true_sensitivity,
 )
 from .estimators import (

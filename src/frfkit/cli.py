@@ -1,15 +1,21 @@
 """Scenario runner and command-line interface.
 
-Reproduces the package's three benchmark studies end to end from a JSON
-configuration: a transient-conditions study (spectral analysis with
-rectangular and Hann windows against the local polynomial method), a
-SISO closed-loop bias study (direct vs indirect estimation), and a MIMO
-study contrasting the full multivariable plant with the per-loop
-equivalent plant. Every run is fully seeded; identical configurations
-produce byte-identical numerical outputs.
+Reproduces the package's benchmark studies end to end from a JSON
+configuration: simulate the closed loop, estimate, and compare every
+estimate with its analytic oracle. The transient-conditions study
+(``transient_study``, or ``custom`` with explicit geometry) estimates
+the sensitivity of one excited loop with rectangular and Hann spectral
+analysis and the local polynomial method. The SISO closed-loop bias
+study runs the same single-experiment pipeline on that loop cut out as
+a SISO plant, with the direct and the indirect method. The MIMO study
+contrasts the full multivariable plant with the per-loop equivalent
+plant. ``_ESTIMATORS`` lists every estimator name; each oracle is
+evaluated once per bin grid. Identical configurations produce
+byte-identical numerical outputs.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 defect
-fraction above the configured threshold.
+fraction (distinct defective (estimate, bin) pairs over all estimated
+bins) above the configured threshold.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,16 +44,10 @@ from .closedloop import (
     indirect_estimate,
     interaction_term,
     run_mimo_experiments,
+    sensitivity_pair,
     true_sensitivity,
 )
-from .estimators import (
-    FrfEstimate,
-    LpmConfig,
-    lpm_fit,
-    power_spectra,
-    spectral_analysis,
-    write_frf_csv,
-)
+from .estimators import FrfEstimate, LpmConfig, write_frf_csv
 from .sim import (
     ControllerConfig,
     StateSpaceModel,
@@ -68,12 +69,59 @@ from .signals import (
 
 TWO_PI = 2.0 * math.pi
 
-SCENARIOS = ("transient_study", "closed_loop_siso_bias",
-             "mimo_full_vs_equivalent", "custom")
 
-_TRANSIENT_ESTIMATORS = ("sa_rect", "sa_hann", "lpm")
-_BIAS_ESTIMATORS = ("direct_sa", "indirect_sa", "indirect_lpm")
-_MIMO_ESTIMATORS = ("sa_rect", "lpm")
+def _sensitivity(dataset, method, window_length, window, lpm_config):
+    """Input sensitivity d -> u of the excited loop."""
+    return sensitivity_pair(dataset, method, window_length, window, lpm_config,
+                            u_channels=[dataset.excited_input_index], y_channels=[])[1]
+
+
+def _direct(dataset, method, window_length, window, lpm_config):
+    return direct_estimate(dataset, window_length, window)
+
+
+def _indirect(dataset, method, window_length, window, lpm_config):
+    return indirect_estimate(dataset, method, window_length, window, lpm_config)
+
+
+class _Estimator(NamedTuple):
+    """One estimator name a scenario accepts.
+
+    ``method`` "sa" averages one window per period; "lpm" fits one window
+    over the used record, so its bins are the period's times
+    ``n_periods_used``. ``estimate`` calls the package function through
+    its name in this module, so a wrapper put there (perfbench's span
+    tracer does) sees the call. The MIMO study has no ``estimate``: it
+    hands ``method`` to :func:`run_mimo_experiments`.
+    """
+
+    method: str
+    estimate: Callable = None
+    window: Callable = None        # taper factory; None is rectangular
+    default: bool = False          # run when the config lists no estimators
+
+
+_SENSITIVITY_ESTIMATORS = {
+    "sa_rect": _Estimator("sa", _sensitivity, default=True),
+    "sa_hann": _Estimator("sa", _sensitivity, WindowFunction.hann, default=True),
+    "lpm": _Estimator("lpm", _sensitivity, default=True),
+}
+
+_ESTIMATORS = {
+    "transient_study": _SENSITIVITY_ESTIMATORS,
+    "closed_loop_siso_bias": {
+        "direct_sa": _Estimator("sa", _direct, default=True),
+        "indirect_sa": _Estimator("sa", _indirect, default=True),
+        "indirect_lpm": _Estimator("lpm", _indirect),
+    },
+    "mimo_full_vs_equivalent": {
+        "sa_rect": _Estimator("sa", default=True),
+        "lpm": _Estimator("lpm"),
+    },
+    "custom": _SENSITIVITY_ESTIMATORS,
+}
+
+SCENARIOS = tuple(_ESTIMATORS)
 
 
 class ConfigError(ValueError):
@@ -154,17 +202,15 @@ class ScenarioConfig:
 _SCENARIO_DEFAULTS = {
     "transient_study": {
         "fs_hz": 1000.0, "period_seconds": 5.0, "n_periods_total": 2,
-        "noise_std": 1e-4, "estimators": list(_TRANSIENT_ESTIMATORS),
-        "steady_state_start": False,
+        "noise_std": 1e-4, "steady_state_start": False,
     },
     "closed_loop_siso_bias": {
         "fs_hz": 1000.0, "period_seconds": 1.0, "n_periods_total": 220,
-        "n_periods_used": 200, "noise_std": 0.05,
-        "estimators": ["direct_sa", "indirect_sa"], "steady_state_start": False,
+        "n_periods_used": 200, "noise_std": 0.05, "steady_state_start": False,
     },
     "mimo_full_vs_equivalent": {
         "fs_hz": 1000.0, "period_seconds": 2.0, "n_periods_total": 2,
-        "noise_std": 0.0, "estimators": ["sa_rect"], "steady_state_start": True,
+        "noise_std": 0.0, "steady_state_start": True,
     },
     # "custom" applies no scenario defaults: geometry must be explicit
     "custom": {},
@@ -312,12 +358,11 @@ def parse_config(path) -> ScenarioConfig:
     else:
         noise_seed = _as_int(seeds.get("noise", 0), "$.seeds.noise")
 
-    estimators = doc.get("estimators", defaults.get("estimators"))
+    allowed = tuple(_ESTIMATORS[scenario])
+    estimators = doc.get("estimators", [name for name in allowed
+                                        if _ESTIMATORS[scenario][name].default])
     if not isinstance(estimators, list) or not estimators:
         raise ConfigError("$.estimators: expected a non-empty list")
-    allowed = {"transient_study": _TRANSIENT_ESTIMATORS, "custom": _TRANSIENT_ESTIMATORS,
-               "closed_loop_siso_bias": _BIAS_ESTIMATORS,
-               "mimo_full_vs_equivalent": _MIMO_ESTIMATORS}[scenario]
     for name in estimators:
         if name not in allowed:
             raise ConfigError(
@@ -365,7 +410,7 @@ def parse_config(path) -> ScenarioConfig:
     if not isinstance(output_dir, str):
         raise ConfigError("$.output_dir: expected a string")
 
-    return ScenarioConfig(
+    cfg = ScenarioConfig(
         scenario=scenario, plant_source=plant_source, fs_hz=fs_hz,
         period_seconds=period_seconds, excited_bins=excited_bins, rms=rms,
         n_periods_total=n_total, n_periods_used=n_used, noise_std=noise_std,
@@ -376,6 +421,31 @@ def parse_config(path) -> ScenarioConfig:
         controller_zero=zero, controller_pole=pole, steady_state_start=steady,
         max_defect_fraction=max_defects, output_dir=output_dir,
     )
+    _check_geometry(cfg)
+    return cfg
+
+
+def _check_geometry(cfg: ScenarioConfig) -> None:
+    """Reject a period, excitation or LPM window that no run could use."""
+    n = cfg.period_samples
+    if n < 4:
+        raise ConfigError(f"$.multisine.period_seconds: a period of {n} samples "
+                          "has no bin to excite (need >= 4 samples)")
+    bins = cfg.excited_bins
+    if isinstance(bins, list) and (max(bins) > n // 2 - 1 or len(set(bins)) < len(bins)):
+        raise ConfigError(f"$.multisine.excited_bins: bins must be distinct and within "
+                          f"[1, {n // 2 - 1}] for a period of {n} samples")
+    if any(_ESTIMATORS[cfg.scenario][name].method == "lpm" for name in cfg.estimators):
+        lpm = _lpm_config(cfg)
+        try:
+            lpm.validate_for(1)
+        except ValueError as exc:
+            raise ConfigError(f"$.lpm.half_width: {exc}") from None
+        width, n_bins = 2 * lpm.half_width + 1, n * cfg.n_periods_used // 2 + 1
+        if n_bins < width:
+            raise ConfigError(
+                f"$.multisine.period_seconds: the LPM record of {cfg.n_periods_used} "
+                f"period(s) has {n_bins} bins, fewer than its window of {width}")
 
 
 @dataclass
@@ -393,10 +463,12 @@ class ScenarioReport:
     runtime_seconds: float = 0.0
 
     def defect_fraction(self) -> float:
+        """Distinct defective (estimate, bin) pairs over all estimated bins;
+        a bin logged twice, as the indirect method does, counts once."""
         total_bins = sum(e.n_bins for e in self.estimates.values())
         if total_bins == 0:
             return 0.0
-        return len(self.defect_log) / total_bins
+        return len({(d["estimate"], d["bin"]) for d in self.defect_log}) / total_bins
 
 
 def _load_plant(cfg: ScenarioConfig) -> StateSpaceModel:
@@ -414,28 +486,21 @@ def _load_plant(cfg: ScenarioConfig) -> StateSpaceModel:
 
 def _build_spec(cfg: ScenarioConfig) -> MultisineSpec:
     n = cfg.period_samples
-    if cfg.excited_bins is None:
-        bins = None
-    elif isinstance(cfg.excited_bins, tuple):
-        lo, hi = cfg.excited_bins
+    bins = cfg.excited_bins  # None is the full grid
+    if isinstance(bins, tuple):
+        lo, hi = bins
         df = cfg.fs_hz / n
-        bins = [k for k in range(1, n // 2)
-                if lo <= k * df <= hi]
+        bins = [k for k in range(1, n // 2) if lo <= k * df <= hi]
         if not bins:
             raise ConfigError("$.multisine.excited_bins: band excites no bins")
-    else:
-        bins = cfg.excited_bins
-    if bins is None:
-        return MultisineSpec.flat(n, rms=cfg.rms, phase_seed=cfg.phase_seed,
-                                  n_periods=cfg.n_periods_total)
-    return MultisineSpec.flat(n, tuple(bins), rms=cfg.rms,
-                              phase_seed=cfg.phase_seed,
+    return MultisineSpec.flat(n, bins, rms=cfg.rms, phase_seed=cfg.phase_seed,
                               n_periods=cfg.n_periods_total)
 
 
-def _lpm_config(cfg: ScenarioConfig, n_inputs: int) -> LpmConfig:
+def _lpm_config(cfg: ScenarioConfig) -> LpmConfig:
+    """Settings of the single-input (SIMO) local fits every scenario makes."""
     if cfg.lpm_half_width is None:
-        auto = LpmConfig.auto(n_inputs, cfg.lpm_poly_order)
+        auto = LpmConfig.auto(1, cfg.lpm_poly_order)
         margin = cfg.lpm_dof_margin if cfg.lpm_dof_margin is not None else auto.dof_margin
         return LpmConfig(cfg.lpm_poly_order, auto.half_width, margin)
     margin = cfg.lpm_dof_margin if cfg.lpm_dof_margin is not None else 1
@@ -471,10 +536,6 @@ def _band_stats(freqs_hz, values, oracle_values, band_hz) -> dict:
     }
 
 
-def _excited_record_bins(spec: MultisineSpec, n_periods: int) -> np.ndarray:
-    return n_periods * np.asarray(spec.excited_bins)
-
-
 def _defect_entries(name: str, est: FrfEstimate, freqs_hz) -> list:
     return [
         {"estimate": name, "bin": d.bin_index,
@@ -485,130 +546,89 @@ def _defect_entries(name: str, est: FrfEstimate, freqs_hz) -> list:
     ]
 
 
-def _run_transient_study(cfg: ScenarioConfig) -> ScenarioReport:
+def _run_single_experiment(cfg: ScenarioConfig) -> ScenarioReport:
+    """One closed-loop experiment exciting one loop, then every estimator.
+
+    The transient study estimates the sensitivity of the excited loop of
+    the square plant; the bias study cuts that loop out as a SISO plant
+    and estimates the plant, next to the large-M limit of the direct
+    method.
+    """
+    bias = cfg.scenario == "closed_loop_siso_bias"
     plant = _load_plant(cfg)
-    if plant.n_inputs != plant.n_outputs:
+    j = cfg.excited_channel - 1
+    if not bias and plant.n_inputs != plant.n_outputs:
         raise ConfigError("$.plant: transient study needs a square plant")
-    if cfg.excited_channel > plant.n_inputs:
+    if j >= plant.n_inputs or j >= plant.n_outputs:
         raise ConfigError(f"$.excited_channel: plant has {plant.n_inputs} inputs")
+    if bias:
+        plant = StateSpaceModel(plant.a, plant.b[:, j:j + 1], plant.c[j:j + 1, :],
+                                plant.d[j:j + 1, j:j + 1], ts=plant.ts)
+        j = 0
     ctrl = ControllerConfig.lead(plant.n_inputs, cfg.ts, cfg.controller_gain,
                                  cfg.controller_zero, cfg.controller_pole)
     spec = _build_spec(cfg)
-    j = cfg.excited_channel - 1
-    mono = generate_multisine(spec, cfg.ts)
-    data = np.zeros((plant.n_inputs, mono.n_samples))
-    data[j] = mono.data[0]
-    d = TimeSeries(data, cfg.ts)
+    d = np.zeros((plant.n_inputs, spec.total_samples))
+    d[j] = generate_multisine(spec, cfg.ts).data[0]
     noise = np.resize(np.asarray(cfg.noise_std), plant.n_outputs)
-    record = simulate_closed_loop(plant, ctrl, d, noise_std=noise,
+    record = simulate_closed_loop(plant, ctrl, TimeSeries(d, cfg.ts), noise_std=noise,
                                   noise_seed=cfg.noise_seed)
     dataset = ClosedLoopDataset.from_record(record, j, ctrl)
     if cfg.n_periods_used < cfg.n_periods_total:
         dataset = dataset.tail_periods(cfg.period_samples, cfg.n_periods_used)
-    stacked = TimeSeries(np.vstack([dataset.d.data[j:j + 1],
-                                    dataset.u.data[j:j + 1]]), cfg.ts, ("d", "u"))
 
-    period = cfg.period_samples
-    estimates, oracles, curves, stats, defects = {}, {}, [], {}, []
-    exc_period = np.asarray(spec.excited_bins)
+    oracle = (lambda w: true_frf(plant, w).g[:, 0, 0]) if bias \
+        else (lambda w: true_sensitivity(plant, ctrl, w)[:, j, j])
+    grids = {}  # window length in samples -> (bin frequencies, oracle there)
 
-    period_freqs = None
-    for name in cfg.estimators:
-        if name in ("sa_rect", "sa_hann"):
-            window = WindowFunction.hann(period) if name == "sa_hann" else None
-            spectra = spectrum_set(stacked, period, window=window)
-            est = spectral_analysis(power_spectra(spectra, [0], [1]))
-            exc = exc_period
-            period_freqs = est.bin_frequencies
-        else:  # lpm
-            spectra = spectrum_set(stacked)
-            est = lpm_fit(spectra, _lpm_config(cfg, 1), input_channels=[0],
-                          output_channels=[1])
-            exc = _excited_record_bins(spec, cfg.n_periods_used)
-        oracle_vals = true_sensitivity(plant, ctrl, est.bin_frequencies)[:, j, j]
-        freqs_hz = est.bin_frequencies / TWO_PI
-        estimates[name] = est
-        _collect_curves(curves, name, freqs_hz[exc], est.g[exc, 0, 0],
-                        oracle_vals[exc])
-        stats[name] = _band_stats(freqs_hz[exc], est.g[exc, 0, 0],
-                                  oracle_vals[exc], cfg.band_hz)
-        defects += _defect_entries(name, est, freqs_hz)
-
-    oracle_freqs = period_freqs if period_freqs is not None \
-        else estimates[cfg.estimators[0]].bin_frequencies
-    s_oracle = true_sensitivity(plant, ctrl, oracle_freqs)[:, j, j]
-    oracles["oracle"] = FrfEstimate(
-        s_oracle[:, None, None], oracle_freqs,
-        variance=np.zeros((len(oracle_freqs), 1, 1)),
-        estimator_tag={"estimator": "sensitivity_oracle"})
-    _collect_curves(curves, "oracle", oracle_freqs / TWO_PI, s_oracle)
-
-    return ScenarioReport(cfg.scenario, cfg.echo(), estimates, oracles,
-                          curves, stats, defects)
-
-
-def _run_siso_bias(cfg: ScenarioConfig) -> ScenarioReport:
-    plant = _load_plant(cfg)
-    j = cfg.excited_channel - 1
-    if j >= plant.n_inputs or j >= plant.n_outputs:
-        raise ConfigError(f"$.excited_channel: plant has {plant.n_inputs} inputs")
-    siso = StateSpaceModel(plant.a, plant.b[:, j:j + 1], plant.c[j:j + 1, :],
-                           plant.d[j:j + 1, j:j + 1], ts=plant.ts)
-    ctrl = ControllerConfig.lead(1, cfg.ts, cfg.controller_gain,
-                                 cfg.controller_zero, cfg.controller_pole)
-    spec = _build_spec(cfg)
-    d = generate_multisine(spec, cfg.ts)
-    sigma = float(np.asarray(cfg.noise_std).ravel()[0])
-    record = simulate_closed_loop(siso, ctrl, d, noise_std=sigma,
-                                  noise_seed=cfg.noise_seed)
-    dataset = ClosedLoopDataset.from_record(record, 0, ctrl)
-    if cfg.n_periods_used < cfg.n_periods_total:
-        dataset = dataset.tail_periods(cfg.period_samples, cfg.n_periods_used)
+    def on_grid(n_samples):
+        if n_samples not in grids:
+            w = bin_frequencies(n_samples, cfg.ts)
+            grids[n_samples] = w, oracle(w)
+        return grids[n_samples]
 
     period = cfg.period_samples
     exc = np.asarray(spec.excited_bins)
-    estimates, oracles, curves, stats, defects = {}, {}, [], {}, []
-    extra = {}
-
+    estimates, curves, stats, defects = {}, [], {}, []
     for name in cfg.estimators:
-        if name == "direct_sa":
-            est = direct_estimate(dataset, period)
-        elif name == "indirect_sa":
-            est = indirect_estimate(dataset, "sa", window_length=period)
-        else:  # indirect_lpm
-            est = indirect_estimate(dataset, "lpm",
-                                    lpm_config=_lpm_config(cfg, 1))
+        entry = _ESTIMATORS[cfg.scenario][name]
+        sa = entry.method == "sa"
+        est = entry.estimate(dataset, entry.method, period if sa else None,
+                             entry.window(period) if entry.window else None,
+                             None if sa else _lpm_config(cfg))
+        periods = 1 if sa else cfg.n_periods_used
+        truth = on_grid(period * periods)[1]
+        sel = periods * exc
+        freqs_hz = est.frequencies_hz
         estimates[name] = est
-        freqs = est.bin_frequencies
-        g0 = true_frf(siso, freqs).g[:, 0, 0]
-        sel = exc if name != "indirect_lpm" else \
-            _excited_record_bins(spec, cfg.n_periods_used)
-        freqs_hz = freqs / TWO_PI
-        _collect_curves(curves, name, freqs_hz[sel], est.g[sel, 0, 0], g0[sel])
-        stats[name] = _band_stats(freqs_hz[sel], est.g[sel, 0, 0], g0[sel],
+        _collect_curves(curves, name, freqs_hz[sel], est.g[sel, 0, 0], truth[sel])
+        stats[name] = _band_stats(freqs_hz[sel], est.g[sel, 0, 0], truth[sel],
                                   cfg.band_hz)
         defects += _defect_entries(name, est, freqs_hz)
 
-    period_freqs = bin_frequencies(period, cfg.ts)
-    g0 = true_frf(siso, period_freqs).g[:, 0, 0]
-    oracles["oracle"] = true_frf(siso, period_freqs)
-    _collect_curves(curves, "oracle", period_freqs / TWO_PI, g0)
+    # the bias asymptote needs the period grid; the transient oracle takes
+    # the finest grid an estimator used
+    w, truth = on_grid(period if bias else min(grids))
+    oracles = {"oracle": FrfEstimate(
+        truth[:, None, None], w, variance=np.zeros((len(w), 1, 1)),
+        estimator_tag={"estimator": "plant_oracle" if bias else "sensitivity_oracle"})}
+    _collect_curves(curves, "oracle", w / TWO_PI, truth)
 
-    # analytic large-M limit of the direct estimate for this excitation
-    d_spec = spectrum_set(TimeSeries(dataset.d.data, cfg.ts), period).data[0, 0]
-    k_frf = ctrl.frf(period_freqs)[:, 0, 0]
-    asymptote = direct_bias_asymptote(g0, k_frf, np.abs(d_spec) ** 2, sigma**2)
-    oracles["bias_asymptote"] = FrfEstimate(
-        asymptote[:, None, None], period_freqs,
-        estimator_tag={"estimator": "direct_bias_asymptote", "noise_std": sigma})
-    _collect_curves(curves, "bias_asymptote", period_freqs[exc] / TWO_PI,
-                    asymptote[exc], g0[exc])
-    if "direct_sa" in estimates:
-        est = estimates["direct_sa"]
-        dev = np.abs(est.g[exc, 0, 0] - asymptote[exc])
-        if est.variance is not None:
-            se = np.sqrt(est.variance[exc, 0, 0])
-            ok = dev <= 3 * se
+    extra = {}
+    if bias:
+        sigma = float(noise[0])
+        d_spec = spectrum_set(dataset.d, period).data[0, 0]
+        asymptote = direct_bias_asymptote(truth, ctrl.frf(w)[:, 0, 0],
+                                          np.abs(d_spec) ** 2, sigma**2)
+        oracles["bias_asymptote"] = FrfEstimate(
+            asymptote[:, None, None], w,
+            estimator_tag={"estimator": "direct_bias_asymptote", "noise_std": sigma})
+        _collect_curves(curves, "bias_asymptote", w[exc] / TWO_PI,
+                        asymptote[exc], truth[exc])
+        est = estimates.get("direct_sa")
+        if est is not None and est.variance is not None:
+            dev = np.abs(est.g[exc, 0, 0] - asymptote[exc])
+            ok = dev <= 3 * np.sqrt(est.variance[exc, 0, 0])
             extra["direct_within_3se_of_asymptote"] = float(np.mean(ok[np.isfinite(dev)]))
     return ScenarioReport(cfg.scenario, cfg.echo(), estimates, oracles,
                           curves, stats, defects, extra)
@@ -621,7 +641,8 @@ def _run_mimo_study(cfg: ScenarioConfig) -> ScenarioReport:
     ctrl = ControllerConfig.lead(plant.n_inputs, cfg.ts, cfg.controller_gain,
                                  cfg.controller_zero, cfg.controller_pole)
     spec = _build_spec(cfg)
-    estimator = "lpm" if "lpm" in cfg.estimators else "sa"
+    methods = {_ESTIMATORS[cfg.scenario][name].method for name in cfg.estimators}
+    estimator = "lpm" if "lpm" in methods else "sa"
     sigma = np.resize(np.asarray(cfg.noise_std), plant.n_outputs)
     noise_seeds = tuple(cfg.noise_seed + k for k in range(plant.n_inputs)) \
         if np.any(sigma > 0) else None
@@ -629,7 +650,7 @@ def _run_mimo_study(cfg: ScenarioConfig) -> ScenarioReport:
         plant, ctrl, spec, noise_std=sigma,
         phase_seeds=tuple(cfg.phase_seed + k for k in range(plant.n_inputs)),
         noise_seeds=noise_seeds, estimator=estimator,
-        lpm_config=_lpm_config(cfg, 1) if estimator == "lpm" else None,
+        lpm_config=_lpm_config(cfg) if estimator == "lpm" else None,
         n_periods_used=cfg.n_periods_used,
         start_at_steady_state=cfg.steady_state_start)
     g_full = full_plant(frm)
@@ -637,14 +658,13 @@ def _run_mimo_study(cfg: ScenarioConfig) -> ScenarioReport:
 
     freqs = g_full.bin_frequencies
     freqs_hz = freqs / TWO_PI
-    exc = _excited_record_bins(spec, cfg.n_periods_used) if estimator == "lpm" \
-        else np.asarray(spec.excited_bins)
-    g_true = true_frf(plant, freqs).g
+    exc = (cfg.n_periods_used if estimator == "lpm" else 1) * np.asarray(spec.excited_bins)
+    oracles = {"oracle": true_frf(plant, freqs)}
+    g_true = oracles["oracle"].g
     k_frf = ctrl.frf(freqs)
     eq_true = equivalent_plant_true(g_true, k_frf)
 
     estimates = {"gs": frm.gs, "s": frm.s, "g_full": g_full, "g_equiv": g_eq}
-    oracles = {"oracle": true_frf(plant, freqs)}
     curves, stats, defects = [], {}, []
     n = plant.n_inputs
     for i in range(n):
@@ -680,30 +700,12 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     """Execute a validated scenario configuration. Deterministic given
     the config (all randomness flows from the recorded seeds)."""
     started = time.perf_counter()
-    if cfg.scenario in ("transient_study", "custom"):
-        report = _run_transient_study(cfg)
-    elif cfg.scenario == "closed_loop_siso_bias":
-        report = _run_siso_bias(cfg)
-    elif cfg.scenario == "mimo_full_vs_equivalent":
+    if cfg.scenario == "mimo_full_vs_equivalent":
         report = _run_mimo_study(cfg)
-    else:  # unreachable once parse_config has run
-        raise ConfigError(f"$.scenario: unsupported scenario {cfg.scenario!r}")
+    else:
+        report = _run_single_experiment(cfg)
     report.runtime_seconds = time.perf_counter() - started
     return report
-
-
-_ESTIMATE_FILES = {
-    "sa_rect": "frf_sa_rect.csv",
-    "sa_hann": "frf_sa_hann.csv",
-    "lpm": "frf_lpm.csv",
-    "direct_sa": "frf_direct_sa.csv",
-    "indirect_sa": "frf_indirect_sa.csv",
-    "indirect_lpm": "frf_indirect_lpm.csv",
-    "gs": "gs.csv",
-    "s": "s.csv",
-    "g_full": "g_full.csv",
-    "g_equiv": "g_equiv.csv",
-}
 
 
 def export_report(report: ScenarioReport, out_dir) -> list:
@@ -716,8 +718,10 @@ def export_report(report: ScenarioReport, out_dir) -> list:
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
+    # the MIMO maps keep their own names; every other estimate is frf_{name}
+    prefix = "" if report.scenario == "mimo_full_vs_equivalent" else "frf_"
     for name, est in report.estimates.items():
-        fname = _ESTIMATE_FILES.get(name, f"frf_{name}.csv")
+        fname = f"{prefix}{name}.csv"
         write_frf_csv(est, out / fname)
         written.append(fname)
     for name, est in report.oracles.items():

@@ -415,13 +415,6 @@ def true_sensitivity(plant: StateSpaceModel, ctrl: ControllerConfig,
     return np.linalg.inv(eye[np.newaxis] + k @ g)
 
 
-def true_process_sensitivity(plant: StateSpaceModel, ctrl: ControllerConfig,
-                             bin_freqs) -> np.ndarray:
-    """Process sensitivity ``G (I + K G)^{-1}`` per bin."""
-    g = true_frf(plant, bin_freqs).g
-    return g @ true_sensitivity(plant, ctrl, bin_freqs)
-
-
 def direct_bias_asymptote(g0, k_frf, phi_dd, phi_vv) -> np.ndarray:
     """Large-M limit of the direct closed-loop estimate per bin (SISO).
 

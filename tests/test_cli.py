@@ -112,6 +112,42 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="JSON"):
             parse_config(path)
 
+    def test_period_shorter_than_four_samples(self, tmp_path):
+        for seconds in (0.002, 0.0005):
+            doc = {**MINIMAL_TRANSIENT, "multisine": {"period_seconds": seconds}}
+            with pytest.raises(ConfigError, match=r"\$\.multisine\.period_seconds"):
+                parse_config(write_config(tmp_path, doc))
+
+    @pytest.mark.parametrize("bins", [[10, 400], [10, 50, 10]])
+    def test_excited_bin_outside_period_or_repeated(self, tmp_path, bins):
+        doc = {**FAST_TRANSIENT,
+               "multisine": {"period_seconds": 0.5, "excited_bins": bins}}
+        with pytest.raises(ConfigError, match=r"\$\.multisine\.excited_bins"):
+            parse_config(write_config(tmp_path, doc))
+
+    @pytest.mark.parametrize("half_width", [1, 2])
+    def test_lpm_window_too_narrow_for_its_parameters(self, tmp_path, half_width):
+        doc = {**FAST_TRANSIENT, "estimators": ["lpm"],
+               "lpm": {"half_width": half_width}}
+        with pytest.raises(ConfigError, match=r"\$\.lpm\.half_width"):
+            parse_config(write_config(tmp_path, doc))
+
+    def test_narrow_lpm_window_accepted_without_lpm(self, tmp_path):
+        doc = {**FAST_TRANSIENT, "estimators": ["sa_rect"], "lpm": {"half_width": 1}}
+        assert parse_config(write_config(tmp_path, doc)).lpm_half_width == 1
+
+    def test_lpm_record_shorter_than_its_window(self, tmp_path):
+        doc = {**MINIMAL_TRANSIENT, "multisine": {"period_seconds": 0.006},
+               "n_periods_total": 1, "estimators": ["lpm"]}
+        with pytest.raises(ConfigError, match=r"\$\.multisine\.period_seconds"):
+            parse_config(write_config(tmp_path, doc))
+
+    def test_rejected_geometry_exits_2(self, tmp_path, capsys):
+        doc = {**MINIMAL_TRANSIENT, "multisine": {"period_seconds": 0.002},
+               "output_dir": str(tmp_path / "out")}
+        assert main(["run", str(write_config(tmp_path, doc))]) == 2
+        assert "$.multisine.period_seconds" in capsys.readouterr().err
+
 
 class TestRunScenario:
     def test_transient_study_report(self, tmp_path):
@@ -153,6 +189,14 @@ class TestRunScenario:
         assert set(report.estimates) == {"gs", "s", "g_full", "g_equiv"}
         assert report.extra_stats["max_gap_vs_interaction_dev"] < 1e-6
         assert report.extra_stats["max_interaction_magnitude"] > 0.01
+
+    def test_defect_fraction_counts_each_bin_once(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path, FAST_BIAS))
+        report = run_scenario(cfg)
+        # the indirect estimate logs its one bad bin twice: once from the
+        # open-loop fit, once as sensitivity_floored
+        assert len(report.defect_log) == 2
+        assert round(report.defect_fraction(), 6) == 0.001992
 
     def test_custom_scenario_runs(self, tmp_path):
         doc = {
@@ -278,6 +322,36 @@ class TestCliMain:
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         assert main(["oracle", str(bad), "--fs", "1000", "--bins", "8"]) == 2
+
+
+ACCEPTED_PAIRS = (
+    [(s, e) for s in ("transient_study", "custom") for e in ("sa_rect", "sa_hann", "lpm")]
+    + [("closed_loop_siso_bias", e) for e in ("direct_sa", "indirect_sa", "indirect_lpm")]
+    + [("mimo_full_vs_equivalent", e) for e in ("sa_rect", "lpm")]
+)
+
+
+class TestEveryAcceptedPair:
+    @pytest.mark.parametrize("scenario,estimator", ACCEPTED_PAIRS)
+    def test_runs_and_writes_finite_statistics(self, tmp_path, scenario, estimator):
+        doc = {"scenario": scenario, "estimators": [estimator],
+               "multisine": {"period_seconds": 0.5},
+               "n_periods_total": 3, "n_periods_used": 2,
+               "seeds": {"phase": 1, "noise": 2}}
+        if scenario == "custom":
+            doc.update(fs_hz=1000.0, noise_std=1e-4)
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        for name in summary["files"]:
+            assert (out / name).is_file(), name
+        stats = summary["band_statistics"]
+        record = "g_full" if scenario == "mimo_full_vs_equivalent" else estimator
+        assert record in stats
+        for entry in stats.values():
+            assert entry["n_bins"] > 0
+            assert np.isfinite(entry["max_error_abs"])
+            assert np.isfinite(entry["mean_error_abs"])
 
 
 class TestPlantFromJson:

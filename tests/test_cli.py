@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,6 +356,74 @@ class TestEveryAcceptedPair:
             assert np.isfinite(entry["mean_error_abs"])
 
 
+REFERENCE_OUTPUTS = Path(__file__).with_name("reference_outputs.npz")
+PAIR_PERIOD = 500  # samples per period of the accepted pairs; bins 1..249 excited
+
+
+def accepted_pair_arrays(scenario, estimator, workdir) -> dict:
+    """Every estimate of one accepted pair at the geometry of
+    ``TestEveryAcceptedPair``, keyed ``scenario/estimator/estimate/field``.
+
+    ``g`` and ``variance`` are kept at the bins the run reports on (the
+    excited bins on the estimate's grid); elsewhere an SA value is a ratio
+    of round-off. Over all bins come the NaN mask of ``g`` (``nan``) and
+    the sorted ``(bin, reason)`` defect set (``bins``, ``reasons``).
+    """
+    doc = {"scenario": scenario, "estimators": [estimator],
+           "multisine": {"period_seconds": 0.5},
+           "n_periods_total": 3, "n_periods_used": 2,
+           "seeds": {"phase": 1, "noise": 2}}
+    if scenario == "custom":
+        doc.update(fs_hz=1000.0, noise_std=1e-4)
+    report = run_scenario(parse_config(write_config(workdir, doc)))
+    arrays = {}
+    for name, est in report.estimates.items():
+        key = f"{scenario}/{estimator}/{name}"
+        half = PAIR_PERIOD // 2
+        reported = (est.n_bins - 1) // half * np.arange(1, half)
+        arrays[f"{key}/g"] = est.g[reported]
+        if est.variance is not None:
+            arrays[f"{key}/variance"] = est.variance[reported]
+        arrays[f"{key}/nan"] = np.isnan(est.g)
+        defects = sorted({(d.bin_index, d.reason) for d in est.defects})
+        arrays[f"{key}/bins"] = np.array([b for b, _ in defects], dtype=np.int64)
+        arrays[f"{key}/reasons"] = np.array([r for _, r in defects], dtype=str)
+    return arrays
+
+
+class TestReferenceOutputs:
+    """Reruns every accepted pair against ``reference_outputs.npz``, so a
+    numerical rewrite that moves more than round-off shows in Tier-1.
+
+    Values agree to 1e-10 of the largest finite reference magnitude of
+    their array; a variance is measured against the larger of its own
+    scale and ``|g|**2``, because a noise-free run's variance is
+    round-off. NaN masks and defect sets must be identical. Regenerate
+    the file with ``PYTHONPATH=src python tests/test_cli.py`` only for an
+    intended change of the outputs.
+    """
+
+    @pytest.mark.parametrize("scenario,estimator", ACCEPTED_PAIRS)
+    def test_matches_committed_reference(self, tmp_path, scenario, estimator):
+        prefix = f"{scenario}/{estimator}/"
+        with np.load(REFERENCE_OUTPUTS) as ref:
+            expected = {k: ref[k] for k in ref.files if k.startswith(prefix)}
+        actual = accepted_pair_arrays(scenario, estimator, tmp_path)
+        assert actual.keys() == expected.keys()
+        for key, want in expected.items():
+            got = actual[key]
+            if want.dtype.kind not in "fc":
+                assert np.array_equal(got, want), key
+                continue
+            assert np.array_equal(np.isnan(got), np.isnan(want)), key
+            finite = np.isfinite(want)
+            scale = np.max(np.abs(want[finite]), initial=0.0)
+            if key.endswith("/variance"):
+                g = expected[key.replace("/variance", "/g")]
+                scale = max(scale, np.max(np.abs(g[np.isfinite(g)]), initial=0.0) ** 2)
+            assert np.max(np.abs(got[finite] - want[finite]), initial=0.0) \
+                <= 1e-10 * scale, key
+
 class TestPlantFromJson:
     def test_run_with_external_plant(self, tmp_path):
         model_path = tmp_path / "plant.json"
@@ -368,3 +438,12 @@ class TestPlantFromJson:
         doc = {**MINIMAL_TRANSIENT, "plant": {"source": "matlab"}}
         with pytest.raises(ConfigError, match="source"):
             parse_config(write_config(tmp_path, doc))
+
+
+if __name__ == "__main__":
+    # writes the reference file that TestReferenceOutputs compares against
+    reference = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        for scenario, estimator in ACCEPTED_PAIRS:
+            reference.update(accepted_pair_arrays(scenario, estimator, Path(workdir)))
+    np.savez_compressed(REFERENCE_OUTPUTS, **reference)

@@ -23,6 +23,8 @@ from .estimators import BinDefect, FrfEstimate
 from .signals import TimeSeries, bin_frequencies
 
 TWO_PI = 2.0 * math.pi
+LIFT = 100          # samples per block of the lifted recursion in lsim
+CHUNK_BLOCKS = 64   # blocks whose outputs lsim computes in one matrix product
 
 
 class UnstableLoopError(RuntimeError):
@@ -204,6 +206,22 @@ def lsim(m: StateSpaceModel, u: TimeSeries, x0=None) -> SimulationRecord:
     sample. This is the package's one state recursion:
     :func:`simulate_closed_loop` and :meth:`ControllerConfig.filter` run
     through it.
+
+    The recursion runs in lifted form (the "lifted system" of iterative
+    learning control): the record is cut into blocks of ``LIFT`` samples,
+    and with ``U_b``, ``Y_b`` the stacked inputs and outputs of block b,
+
+        ``x_{b+1} = A^L x_b + R U_b``,   ``Y_b = T U_b + O x_b``,
+
+    where ``O = [C; CA; ...; CA^(L-1)]`` is the observability stack,
+    ``T`` the block lower-triangular Toeplitz matrix of the Markov
+    parameters ``D, CB, CAB, ...`` and ``R = [A^(L-1)B ... AB B]``. Only
+    the state update is a Python loop, one step per block; the outputs
+    of up to ``CHUNK_BLOCKS`` blocks come from two matrix products, so
+    memory stays bounded by one chunk whatever the record length. A tail
+    of ``N mod L`` samples, or a record shorter than one block, is one
+    more block of that length, using the leading sub-blocks of ``O`` and
+    ``T`` and the trailing columns of ``R``.
     """
     if m.is_continuous:
         raise ValueError("lsim needs a discrete-time model; discretize first")
@@ -215,16 +233,40 @@ def lsim(m: StateSpaceModel, u: TimeSeries, x0=None) -> SimulationRecord:
     x0 = np.zeros(m.n_states) if x0 is None else np.asarray(x0, dtype=float).copy()
     if x0.shape != (m.n_states,):
         raise ValueError(f"x0 must have {m.n_states} entries")
-    a, b, data = m.a, m.b, u.data
-    states = np.empty((u.n_samples, m.n_states))
+    n_x, n_u, n_y, n = m.n_states, m.n_inputs, m.n_outputs, u.n_samples
+    powers = [np.eye(n_x)]
+    for _ in range(LIFT):
+        powers.append(m.a @ powers[-1])
+    powers = np.array(powers)                          # A^0 ... A^L
+    markov = np.concatenate([m.d[np.newaxis], m.c @ powers[:LIFT - 1] @ m.b,
+                             np.zeros((1, n_y, n_u))])  # D, CB, ..., CA^(L-2)B, 0
+    lag = np.subtract.outer(np.arange(LIFT), np.arange(LIFT))
+    toeplitz = markov[np.where(lag >= 0, lag, LIFT)]   # (L, L, n_y, n_u)
+    toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(LIFT * n_y, LIFT * n_u)
+    observe = (m.c @ powers[:LIFT]).reshape(LIFT * n_y, n_x)
+    reach = (powers[LIFT - 1::-1] @ m.b).transpose(1, 0, 2).reshape(n_x, LIFT * n_u)
+
+    full, tail = divmod(n, LIFT)
+    chunk = CHUNK_BLOCKS * LIFT
+    segments = [(start, LIFT, min(CHUNK_BLOCKS, full - start // LIFT))
+                for start in range(0, full * LIFT, chunk)]
+    if tail:
+        segments.append((full * LIFT, tail, 1))
+    y = np.empty((n_y, n))
     x = x0
-    dot = np.dot  # lower per-call overhead than ``@`` on these tiny operands
-    for i, u_i in enumerate(data.T):
-        states[i] = x
-        x = dot(a, x) + dot(b, u_i)
-    y = m.c @ states.T
-    y += m.d @ data
-    names = tuple(f"y{i + 1}" for i in range(m.n_outputs))
+    for start, length, count in segments:
+        stop = start + length * count
+        blocks = u.data[:, start:stop].T.reshape(count, length * n_u)
+        a_block = powers[length]
+        drive = blocks @ reach[:, (LIFT - length) * n_u:].T
+        states = np.empty((count, n_x))
+        for i in range(count):
+            states[i] = x
+            x = a_block @ x + drive[i]
+        out = blocks @ toeplitz[:length * n_y, :length * n_u].T
+        out += states @ observe[:length * n_y].T
+        y[:, start:stop] = out.reshape(count * length, n_y).T
+    names = tuple(f"y{i + 1}" for i in range(n_y))
     return SimulationRecord(
         d=u,
         u=u,

@@ -11,6 +11,8 @@ from hypothesis.extra import numpy as hnp
 from frfkit.estimators import FrfEstimate
 from frfkit.signals import MultisineSpec, TimeSeries, dft, generate_multisine
 from frfkit.sim import (
+    CHUNK_BLOCKS,
+    LIFT,
     ControllerConfig,
     IllPosedLoopError,
     StateSpaceModel,
@@ -165,6 +167,15 @@ class TestLsim:
         assert np.allclose(rec.xN, manual, atol=0.0)
 
 
+    def test_integrator_over_long_record(self):
+        m = StateSpaceModel([[1.0]], [[1.0]], [[1.0]], [[0.0]], ts=TS)
+        u = np.random.default_rng(4).standard_normal((1, 20_000))
+        rec = lsim(m, TimeSeries(u, TS))
+        running_sum = np.cumsum(u[0])  # the recursion x(n+1) = x(n) + u(n)
+        assert_close_rel(rec.y.data[0], np.concatenate([[0.0], running_sum[:-1]]))
+        assert_close_rel(rec.xN, running_sum[-1:])
+
+
 class TestClosedLoop:
     def test_quiescent_loop(self, plant_d, controller):
         d = TimeSeries(np.zeros((2, 200)), TS)
@@ -309,12 +320,19 @@ def inputs_for(m: StateSpaceModel):
                                          allow_subnormal=False))
 
 
+# shorter than a block, whole blocks, blocks plus a tail, one full chunk,
+# and more than one chunk ending in a tail
+LSIM_LENGTHS = (1, 7, LIFT - 1, LIFT, LIFT + 1, CHUNK_BLOCKS * LIFT,
+                (CHUNK_BLOCKS + 1) * LIFT + 43)
+
+
 class TestSimulationProperties:
     @settings(derandomize=True, deadline=None, max_examples=30)
-    @given(data=st.data())
-    def test_lsim_matches_reference_recursion(self, data):
+    @given(data=st.data(), n_samples=st.sampled_from(LSIM_LENGTHS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_lsim_matches_reference_recursion(self, data, n_samples, seed):
         m = data.draw(stable_models())
-        u = data.draw(inputs_for(m))
+        u = np.random.default_rng(seed).uniform(-10.0, 10.0, (m.n_inputs, n_samples))
         x0 = data.draw(hnp.arrays(float, (m.n_states,),
                                   elements=st.floats(-1.0, 1.0, allow_nan=False)))
         rec = lsim(m, TimeSeries(u, TS), x0=x0)

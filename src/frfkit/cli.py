@@ -363,10 +363,14 @@ def parse_config(path) -> ScenarioConfig:
                                         if _ESTIMATORS[scenario][name].default])
     if not isinstance(estimators, list) or not estimators:
         raise ConfigError("$.estimators: expected a non-empty list")
-    for name in estimators:
+    for i, name in enumerate(estimators):
         if name not in allowed:
             raise ConfigError(
                 f"$.estimators: {name!r} not valid for {scenario} (use {allowed})")
+        if name in estimators[:i]:
+            raise ConfigError(f"$.estimators[{i}]: {name!r} is listed twice")
+    if scenario == "mimo_full_vs_equivalent" and len(estimators) > 1:
+        raise ConfigError("$.estimators[1]: the MIMO study runs one estimator")
 
     lpm = doc.get("lpm", {})
     if not isinstance(lpm, dict):
@@ -484,6 +488,17 @@ def _load_plant(cfg: ScenarioConfig) -> StateSpaceModel:
     return model
 
 
+def _noise_std(cfg: ScenarioConfig, n_outputs: int) -> np.ndarray:
+    """``noise_std`` per simulated output; a single value applies to all."""
+    noise = np.asarray(cfg.noise_std, dtype=float)
+    if noise.size == 1:
+        return np.full(n_outputs, noise[0])
+    if noise.size != n_outputs:
+        raise ConfigError(f"$.noise_std: {noise.size} values for a simulated plant "
+                          f"with {n_outputs} output(s)")
+    return noise
+
+
 def _build_spec(cfg: ScenarioConfig) -> MultisineSpec:
     n = cfg.period_samples
     bins = cfg.excited_bins  # None is the full grid
@@ -570,7 +585,7 @@ def _run_single_experiment(cfg: ScenarioConfig) -> ScenarioReport:
     spec = _build_spec(cfg)
     d = np.zeros((plant.n_inputs, spec.total_samples))
     d[j] = generate_multisine(spec, cfg.ts).data[0]
-    noise = np.resize(np.asarray(cfg.noise_std), plant.n_outputs)
+    noise = _noise_std(cfg, plant.n_outputs)
     record = simulate_closed_loop(plant, ctrl, TimeSeries(d, cfg.ts), noise_std=noise,
                                   noise_seed=cfg.noise_seed)
     dataset = ClosedLoopDataset.from_record(record, j, ctrl)
@@ -641,9 +656,8 @@ def _run_mimo_study(cfg: ScenarioConfig) -> ScenarioReport:
     ctrl = ControllerConfig.lead(plant.n_inputs, cfg.ts, cfg.controller_gain,
                                  cfg.controller_zero, cfg.controller_pole)
     spec = _build_spec(cfg)
-    methods = {_ESTIMATORS[cfg.scenario][name].method for name in cfg.estimators}
-    estimator = "lpm" if "lpm" in methods else "sa"
-    sigma = np.resize(np.asarray(cfg.noise_std), plant.n_outputs)
+    estimator = _ESTIMATORS[cfg.scenario][cfg.estimators[0]].method
+    sigma = _noise_std(cfg, plant.n_outputs)
     noise_seeds = tuple(cfg.noise_seed + k for k in range(plant.n_inputs)) \
         if np.any(sigma > 0) else None
     frm = run_mimo_experiments(

@@ -109,10 +109,6 @@ class FrfEstimate:
     def frequencies_hz(self) -> np.ndarray:
         return self.bin_frequencies / TWO_PI
 
-    def entry(self, output: int, input_: int) -> np.ndarray:
-        """Complex FRF of one (output, input) pair over all bins."""
-        return self.g[:, output, input_]
-
     def defect_bins(self) -> set:
         return {d.bin_index for d in self.defects}
 

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg
-import scipy.signal
 
 from .estimators import BinDefect, FrfEstimate
 from .signals import TimeSeries, bin_frequencies
@@ -277,6 +276,27 @@ def lsim(m: StateSpaceModel, u: TimeSeries, x0=None) -> SimulationRecord:
     )
 
 
+def _tf2ss(num, den):
+    """Controllable canonical realization ``(A, B, C, D)`` of the proper
+    transfer function ``num(z)/den(z)``, equal to ``scipy.signal.tf2ss``.
+
+    Both polynomials are divided by ``den[0]`` and the numerator is
+    left-padded to the length of the denominator; leading numerator
+    coefficients within 1e-14 of zero, all but the last, become zero.
+    """
+    den = np.asarray(den, dtype=float)
+    num = np.asarray(num, dtype=float) / den[0]
+    den = den / den[0]
+    num = np.concatenate([np.zeros(den.size - num.size), num])
+    num[:-1][np.cumprod(np.abs(num[:-1]) <= 1e-14).astype(bool)] = 0.0
+    d = num[:1].reshape(1, 1)
+    k = den.size - 1
+    if k == 0:
+        return np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), d
+    a = np.vstack([-den[1:], np.eye(k - 1, k)])
+    return a, np.eye(k, 1), (num[1:] - num[0] * den[1:])[np.newaxis], d
+
+
 @dataclass(frozen=True)
 class ControllerConfig:
     """Decentralized (diagonal) discrete-time controller.
@@ -334,13 +354,8 @@ class ControllerConfig:
 
     def state_space(self) -> StateSpaceModel:
         """Block-diagonal state-space realization of all loops."""
-        import warnings
-
-        with warnings.catch_warnings():
-            # an all-zero numerator (disabled loop) is legitimate here
-            warnings.simplefilter("ignore", scipy.signal.BadCoefficients)
-            blocks = [scipy.signal.tf2ss(num, den) for num, den in
-                      zip(self.numerators, self.denominators)]
+        blocks = [_tf2ss(num, den) for num, den in
+                  zip(self.numerators, self.denominators)]
         n_states = sum(blk[0].shape[0] for blk in blocks)
         n = self.n_loops
         a = np.zeros((n_states, n_states))

@@ -151,6 +151,16 @@ class TestParseConfig:
         assert "$.multisine.period_seconds" in capsys.readouterr().err
 
 
+    def test_duplicate_estimator_rejected(self, tmp_path):
+        doc = {**FAST_BIAS, "estimators": ["direct_sa", "indirect_sa", "direct_sa"]}
+        with pytest.raises(ConfigError, match=r"\$\.estimators\[2\]"):
+            parse_config(write_config(tmp_path, doc))
+
+    def test_more_than_one_mimo_estimator_rejected(self, tmp_path):
+        doc = {**FAST_MIMO, "estimators": ["sa_rect", "lpm"]}
+        with pytest.raises(ConfigError, match=r"\$\.estimators\[1\]"):
+            parse_config(write_config(tmp_path, doc))
+
 class TestRunScenario:
     def test_transient_study_report(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, FAST_TRANSIENT))
@@ -214,6 +224,22 @@ class TestRunScenario:
         report = run_scenario(cfg)
         assert set(report.estimates) == {"sa_rect", "lpm"}
 
+
+    @pytest.mark.parametrize("base,noise_std", [
+        (FAST_TRANSIENT, [0.0, 0.0, 5.0]),
+        (FAST_BIAS, [0.05, 0.05]),
+        ({**FAST_MIMO, "seeds": {"phase": 5, "noise": 6}}, [1e-3, 1e-3, 1e-3]),
+    ], ids=["transient", "bias", "mimo"])
+    def test_noise_std_must_match_plant_outputs(self, tmp_path, capsys, base, noise_std):
+        doc = {**base, "noise_std": noise_std, "output_dir": str(tmp_path / "out")}
+        assert main(["run", str(write_config(tmp_path, doc))]) == 2
+        assert "$.noise_std" in capsys.readouterr().err
+
+    def test_one_noise_std_applies_to_every_output(self, tmp_path):
+        reports = [run_scenario(parse_config(write_config(
+            tmp_path, {**FAST_MIMO, "noise_std": noise, "seeds": {"phase": 5, "noise": 6}})))
+            for noise in (1e-3, [1e-3])]
+        assert np.array_equal(reports[0].estimates["gs"].g, reports[1].estimates["gs"].g)
 
 class TestExportReport:
     def test_transient_files(self, tmp_path):

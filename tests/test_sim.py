@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from frfkit.sim import (
     IllPosedLoopError,
     StateSpaceModel,
     UnstableLoopError,
+    _tf2ss,
     benchmark_plant,
     closed_loop_steady_state,
     closed_loop_system,
@@ -352,6 +354,27 @@ class TestSimulationProperties:
         assert np.array_equal(rec.u.data, d.data)
         assert_close_rel(rec.y.data, lsim(m, d).y.data + rec.v.data)
 
+
+# coefficients scaled by 1e-3 .. 1e3, with exact zeros and values inside
+# and just outside the 1e-14 numerator trimming threshold
+coefficients = st.one_of(
+    st.sampled_from((0.0, -0.0, 1e-15, -1e-15, 1e-14, 2e-14)),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False))
+
+
+class TestControllerRealization:
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(data=st.data())
+    def test_tf2ss_equals_scipy(self, data):
+        den = data.draw(st.lists(coefficients, min_size=1, max_size=5)
+                        .filter(lambda c: abs(c[0]) > 1e-3))
+        num = data.draw(st.lists(coefficients, min_size=1, max_size=len(den)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.signal.BadCoefficients)
+            expected = scipy.signal.tf2ss(num, den)
+        for got, want in zip(_tf2ss(num, den), expected):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
 
 class TestTrueFrf:
     def test_discrete_dc_gain(self, plant_d):

@@ -23,7 +23,10 @@ from .signals import TimeSeries, bin_frequencies
 
 TWO_PI = 2.0 * math.pi
 LIFT = 100          # samples per block of the lifted recursion in lsim
-CHUNK_BLOCKS = 64   # blocks whose outputs lsim computes in one matrix product
+# multiply-adds per matrix product in lsim; OpenBLAS runs a product this
+# small on one thread (a larger one, split across threads, stalled for
+# tens of milliseconds at a time on a 2-vCPU virtual machine)
+PRODUCT_MACS = 2**19
 
 
 class UnstableLoopError(RuntimeError):
@@ -215,8 +218,9 @@ def lsim(m: StateSpaceModel, u: TimeSeries, x0=None) -> SimulationRecord:
     where ``O = [C; CA; ...; CA^(L-1)]`` is the observability stack,
     ``T`` the block lower-triangular Toeplitz matrix of the Markov
     parameters ``D, CB, CAB, ...`` and ``R = [A^(L-1)B ... AB B]``. Only
-    the state update is a Python loop, one step per block; the outputs
-    of up to ``CHUNK_BLOCKS`` blocks come from two matrix products, so
+    the state update is a Python loop, one step per block. The outputs
+    of a chunk of blocks come from two matrix products; a chunk holds as
+    many blocks as fit in ``PRODUCT_MACS`` multiply-adds with ``T``, so
     memory stays bounded by one chunk whatever the record length. A tail
     of ``N mod L`` samples, or a record shorter than one block, is one
     more block of that length, using the leading sub-blocks of ``O`` and
@@ -237,18 +241,19 @@ def lsim(m: StateSpaceModel, u: TimeSeries, x0=None) -> SimulationRecord:
     for _ in range(LIFT):
         powers.append(m.a @ powers[-1])
     powers = np.array(powers)                          # A^0 ... A^L
-    markov = np.concatenate([m.d[np.newaxis], m.c @ powers[:LIFT - 1] @ m.b,
+    c_powers = m.c @ powers[:LIFT]                     # C, CA, ..., CA^(L-1)
+    markov = np.concatenate([m.d[np.newaxis], c_powers[:-1] @ m.b,
                              np.zeros((1, n_y, n_u))])  # D, CB, ..., CA^(L-2)B, 0
     lag = np.subtract.outer(np.arange(LIFT), np.arange(LIFT))
     toeplitz = markov[np.where(lag >= 0, lag, LIFT)]   # (L, L, n_y, n_u)
     toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(LIFT * n_y, LIFT * n_u)
-    observe = (m.c @ powers[:LIFT]).reshape(LIFT * n_y, n_x)
+    observe = c_powers.reshape(LIFT * n_y, n_x)
     reach = (powers[LIFT - 1::-1] @ m.b).transpose(1, 0, 2).reshape(n_x, LIFT * n_u)
 
     full, tail = divmod(n, LIFT)
-    chunk = CHUNK_BLOCKS * LIFT
-    segments = [(start, LIFT, min(CHUNK_BLOCKS, full - start // LIFT))
-                for start in range(0, full * LIFT, chunk)]
+    per_product = max(1, PRODUCT_MACS // toeplitz.size)
+    segments = [(start, LIFT, min(per_product, full - start // LIFT))
+                for start in range(0, full * LIFT, per_product * LIFT)]
     if tail:
         segments.append((full * LIFT, tail, 1))
     y = np.empty((n_y, n))

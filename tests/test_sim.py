@@ -12,8 +12,8 @@ from hypothesis.extra import numpy as hnp
 from frfkit.estimators import FrfEstimate
 from frfkit.signals import MultisineSpec, TimeSeries, dft, generate_multisine
 from frfkit.sim import (
-    CHUNK_BLOCKS,
     LIFT,
+    PRODUCT_MACS,
     ControllerConfig,
     IllPosedLoopError,
     StateSpaceModel,
@@ -322,10 +322,11 @@ def inputs_for(m: StateSpaceModel):
                                          allow_subnormal=False))
 
 
-# shorter than a block, whole blocks, blocks plus a tail, one full chunk,
-# and more than one chunk ending in a tail
-LSIM_LENGTHS = (1, 7, LIFT - 1, LIFT, LIFT + 1, CHUNK_BLOCKS * LIFT,
-                (CHUNK_BLOCKS + 1) * LIFT + 43)
+# shorter than a block, whole blocks, blocks plus a tail, and one full and
+# more than one chunk of a 1x1 model, whose chunks are the longest; the
+# order makes the derandomized draws reach each of these cases
+CHUNK_1X1 = PRODUCT_MACS // LIFT**2 * LIFT
+LSIM_LENGTHS = (LIFT, 1, CHUNK_1X1 + LIFT + 43, LIFT - 1, CHUNK_1X1, 7, LIFT + 1)
 
 
 class TestSimulationProperties:

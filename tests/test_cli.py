@@ -150,7 +150,6 @@ class TestParseConfig:
         assert main(["run", str(write_config(tmp_path, doc))]) == 2
         assert "$.multisine.period_seconds" in capsys.readouterr().err
 
-
     def test_duplicate_estimator_rejected(self, tmp_path):
         doc = {**FAST_BIAS, "estimators": ["direct_sa", "indirect_sa", "direct_sa"]}
         with pytest.raises(ConfigError, match=r"\$\.estimators\[2\]"):
@@ -160,6 +159,7 @@ class TestParseConfig:
         doc = {**FAST_MIMO, "estimators": ["sa_rect", "lpm"]}
         with pytest.raises(ConfigError, match=r"\$\.estimators\[1\]"):
             parse_config(write_config(tmp_path, doc))
+
 
 class TestRunScenario:
     def test_transient_study_report(self, tmp_path):
@@ -224,7 +224,6 @@ class TestRunScenario:
         report = run_scenario(cfg)
         assert set(report.estimates) == {"sa_rect", "lpm"}
 
-
     @pytest.mark.parametrize("base,noise_std", [
         (FAST_TRANSIENT, [0.0, 0.0, 5.0]),
         (FAST_BIAS, [0.05, 0.05]),
@@ -240,6 +239,7 @@ class TestRunScenario:
             tmp_path, {**FAST_MIMO, "noise_std": noise, "seeds": {"phase": 5, "noise": 6}})))
             for noise in (1e-3, [1e-3])]
         assert np.array_equal(reports[0].estimates["gs"].g, reports[1].estimates["gs"].g)
+
 
 class TestExportReport:
     def test_transient_files(self, tmp_path):
@@ -402,10 +402,10 @@ def accepted_pair_arrays(scenario, estimator, workdir) -> dict:
     if scenario == "custom":
         doc.update(fs_hz=1000.0, noise_std=1e-4)
     report = run_scenario(parse_config(write_config(workdir, doc)))
+    half = PAIR_PERIOD // 2
     arrays = {}
     for name, est in report.estimates.items():
         key = f"{scenario}/{estimator}/{name}"
-        half = PAIR_PERIOD // 2
         reported = (est.n_bins - 1) // half * np.arange(1, half)
         arrays[f"{key}/g"] = est.g[reported]
         if est.variance is not None:
@@ -449,6 +449,7 @@ class TestReferenceOutputs:
                 scale = max(scale, np.max(np.abs(g[np.isfinite(g)]), initial=0.0) ** 2)
             assert np.max(np.abs(got[finite] - want[finite]), initial=0.0) \
                 <= 1e-10 * scale, key
+
 
 class TestPlantFromJson:
     def test_run_with_external_plant(self, tmp_path):

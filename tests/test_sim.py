@@ -168,7 +168,6 @@ class TestLsim:
             manual = plant_d.a @ manual + plant_d.b @ u.data[:, i]
         assert np.allclose(rec.xN, manual, atol=0.0)
 
-
     def test_integrator_over_long_record(self):
         m = StateSpaceModel([[1.0]], [[1.0]], [[1.0]], [[0.0]], ts=TS)
         u = np.random.default_rng(4).standard_normal((1, 20_000))
@@ -356,8 +355,8 @@ class TestSimulationProperties:
         assert_close_rel(rec.y.data, lsim(m, d).y.data + rec.v.data)
 
 
-# coefficients scaled by 1e-3 .. 1e3, with exact zeros and values inside
-# and just outside the 1e-14 numerator trimming threshold
+# coefficients in [-1e3, 1e3], with exact zeros and values inside and just
+# outside the 1e-14 numerator trimming threshold
 coefficients = st.one_of(
     st.sampled_from((0.0, -0.0, 1e-15, -1e-15, 1e-14, 2e-14)),
     st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False))
@@ -376,6 +375,7 @@ class TestControllerRealization:
         for got, want in zip(_tf2ss(num, den), expected):
             assert got.shape == want.shape
             assert np.array_equal(got, want)
+
 
 class TestTrueFrf:
     def test_discrete_dc_gain(self, plant_d):

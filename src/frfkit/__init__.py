@@ -9,7 +9,6 @@ extraction, validated against a built-in two-mass benchmark simulation.
 from .closedloop import (
     ClosedLoopDataset,
     FrmPair,
-    controller_inversion_estimate,
     direct_bias_asymptote,
     direct_estimate,
     equivalent_plant,
@@ -35,7 +34,6 @@ from .estimators import (
     power_spectra,
     spectral_analysis,
     write_frf_csv,
-    write_frf_json,
 )
 from .sim import (
     ControllerConfig,
@@ -60,13 +58,11 @@ from .signals import (
     SpectrumSet,
     TimeSeries,
     WindowFunction,
-    apply_window,
     bin_frequencies,
     dft,
     generate_multisine,
     idft,
     read_timeseries_csv,
-    segment,
     spectrum_set,
     write_timeseries_csv,
 )

@@ -430,7 +430,8 @@ def parse_config(path) -> ScenarioConfig:
 
 
 def _check_geometry(cfg: ScenarioConfig) -> None:
-    """Reject a period, excitation or LPM window that no run could use."""
+    """Reject a period, excitation, statistics band or LPM window that no run
+    could use."""
     n = cfg.period_samples
     if n < 4:
         raise ConfigError(f"$.multisine.period_seconds: a period of {n} samples "
@@ -439,6 +440,11 @@ def _check_geometry(cfg: ScenarioConfig) -> None:
     if isinstance(bins, list) and (max(bins) > n // 2 - 1 or len(set(bins)) < len(bins)):
         raise ConfigError(f"$.multisine.excited_bins: bins must be distinct and within "
                           f"[1, {n // 2 - 1}] for a period of {n} samples")
+    excited_hz = bin_frequencies(n, cfg.ts)[_excited_bins(cfg)] / TWO_PI
+    lo, hi = cfg.band_hz
+    if not np.any((excited_hz >= lo) & (excited_hz <= hi)):
+        raise ConfigError(f"$.band_hz: [{lo}, {hi}] Hz holds no excited frequency "
+                          f"(excited: {excited_hz.min():g} to {excited_hz.max():g} Hz)")
     if any(_ESTIMATORS[cfg.scenario][name].method == "lpm" for name in cfg.estimators):
         lpm = _lpm_config(cfg)
         try:
@@ -499,17 +505,25 @@ def _noise_std(cfg: ScenarioConfig, n_outputs: int) -> np.ndarray:
     return noise
 
 
-def _build_spec(cfg: ScenarioConfig) -> MultisineSpec:
+def _excited_bins(cfg: ScenarioConfig) -> list:
+    """Excited bins of one period: the full grid, the listed bins or the
+    bins inside the configured band."""
     n = cfg.period_samples
-    bins = cfg.excited_bins  # None is the full grid
+    bins = cfg.excited_bins
+    if bins is None:
+        return list(range(1, n // 2))
     if isinstance(bins, tuple):
         lo, hi = bins
         df = cfg.fs_hz / n
         bins = [k for k in range(1, n // 2) if lo <= k * df <= hi]
         if not bins:
             raise ConfigError("$.multisine.excited_bins: band excites no bins")
-    return MultisineSpec.flat(n, bins, rms=cfg.rms, phase_seed=cfg.phase_seed,
-                              n_periods=cfg.n_periods_total)
+    return bins
+
+
+def _build_spec(cfg: ScenarioConfig) -> MultisineSpec:
+    return MultisineSpec.flat(cfg.period_samples, _excited_bins(cfg), rms=cfg.rms,
+                              phase_seed=cfg.phase_seed, n_periods=cfg.n_periods_total)
 
 
 def _lpm_config(cfg: ScenarioConfig) -> LpmConfig:
@@ -549,6 +563,13 @@ def _band_stats(freqs_hz, values, oracle_values, band_hz) -> dict:
         "max_error_abs": float(np.max(err)),
         "mean_error_abs": float(np.mean(err)),
     }
+
+
+def _max_abs(values: np.ndarray):
+    """Largest magnitude over the finite values; None (JSON null) when no
+    value is finite."""
+    finite = np.abs(values[np.isfinite(values)])
+    return float(np.max(finite)) if finite.size else None
 
 
 def _defect_entries(name: str, est: FrfEstimate, freqs_hz) -> list:
@@ -702,10 +723,8 @@ def _run_mimo_study(cfg: ScenarioConfig) -> ScenarioReport:
         gap = g_full.g[exc, 0, 0] - g_eq.g[exc, 0, 0]
         inter = interaction_term(g_true, k_frf, loop=0)[exc]
         _collect_curves(curves, "interaction_11", freqs_hz[exc], inter)
-        finite = np.isfinite(gap)
-        extra["max_gap_vs_interaction_dev"] = float(
-            np.max(np.abs(gap[finite] - inter[finite])))
-        extra["max_interaction_magnitude"] = float(np.max(np.abs(inter)))
+        extra["max_gap_vs_interaction_dev"] = _max_abs(gap - inter)
+        extra["max_interaction_magnitude"] = _max_abs(inter)
     return ScenarioReport(cfg.scenario, cfg.echo(), estimates, oracles,
                           curves, stats, defects, extra)
 

@@ -18,6 +18,7 @@ from .estimators import (
     BinDefect,
     FrfEstimate,
     LpmConfig,
+    _conditioning,
     lpm_fit,
     power_spectra,
     spectral_analysis,
@@ -217,35 +218,6 @@ def indirect_estimate(dataset: ClosedLoopDataset, estimator: str = "sa",
                        variance=variance, estimator_tag=tag, defects=defects)
 
 
-def controller_inversion_estimate(s_hat: FrfEstimate, controller_frf) -> FrfEstimate:
-    """Plant from the sensitivity alone: ``G = (1/K)(1/S - 1)`` per bin.
-
-    Requires the controller response exactly; any controller error maps
-    directly into the plant estimate, which the estimator tag records.
-    """
-    if s_hat.n_inputs != 1 or s_hat.n_outputs != 1:
-        raise ValueError("controller inversion works on a SISO sensitivity estimate")
-    k = np.asarray(controller_frf, dtype=complex)
-    if k.ndim == 3:
-        k = k[:, 0, 0]
-    if k.shape != (s_hat.n_bins,):
-        raise ValueError("controller response must have one value per bin")
-    s = s_hat.g[:, 0, 0]
-    g = np.full_like(s, np.nan + 0j)
-    defects = list(s_hat.defects)
-    for idx in range(s_hat.n_bins):
-        if k[idx] == 0:
-            defects.append(BinDefect(idx, "controller_zero"))
-        elif s[idx] == 0:
-            defects.append(BinDefect(idx, "sensitivity_zero"))
-        elif np.isfinite(s[idx]):
-            g[idx] = (1.0 / s[idx] - 1.0) / k[idx]
-    tag = {"estimator": "controller_inversion",
-           "requires_exact_controller": True}
-    return FrfEstimate(g[:, np.newaxis, np.newaxis], s_hat.bin_frequencies,
-                       estimator_tag=tag, defects=defects)
-
-
 def run_mimo_experiments(plant: StateSpaceModel, ctrl: ControllerConfig,
                          spec: MultisineSpec, noise_std=0.0, phase_seeds=None,
                          noise_seeds=None, estimator: str = "sa",
@@ -340,27 +312,20 @@ def full_plant(frm: FrmPair, cond_limit: float = 1e8) -> FrfEstimate:
     n_bins = frm.s.n_bins
     n_y, n_u = frm.gs.n_outputs, frm.gs.n_inputs
     g = np.full((n_bins, n_y, n_u), np.nan + 0j)
-    cond = np.full(n_bins, np.nan)
-    defects = []
+    cond, invertible = _conditioning(frm.s.g)
+    ok = invertible & (cond <= cond_limit)
+    defects = [BinDefect(int(k), "sensitivity_not_finite") if np.isnan(cond[k])
+               else BinDefect(int(k), "sensitivity_ill_conditioned", float(cond[k]))
+               for k in np.flatnonzero(~ok)]
+    s_inv = np.linalg.inv(frm.s.g[ok])
+    g[ok] = frm.gs.g[ok] @ s_inv
     have_var = frm.gs.variance is not None and frm.s.variance is not None
-    variance = np.full((n_bins, n_y, n_u), np.nan) if have_var else None
-    for k in range(n_bins):
-        s_k = frm.s.g[k]
-        if not np.all(np.isfinite(s_k)):
-            defects.append(BinDefect(k, "sensitivity_not_finite"))
-            continue
-        c = float(np.linalg.cond(s_k))
-        cond[k] = c
-        if not np.isfinite(c) or c > cond_limit:
-            defects.append(BinDefect(k, "sensitivity_ill_conditioned", c))
-            continue
-        s_inv = np.linalg.inv(s_k)
-        g[k] = frm.gs.g[k] @ s_inv
-        if have_var:
-            # first-order propagation through dG = dGS S^-1 - G dS S^-1
-            w = np.abs(s_inv) ** 2
-            variance[k] = frm.gs.variance[k] @ w \
-                + (np.abs(g[k]) ** 2) @ frm.s.variance[k] @ w
+    variance = None
+    if have_var:
+        # first-order propagation through dG = dGS S^-1 - G dS S^-1
+        w = np.abs(s_inv) ** 2
+        variance = np.full((n_bins, n_y, n_u), np.nan)
+        variance[ok] = frm.gs.variance[ok] @ w + np.abs(g[ok]) ** 2 @ frm.s.variance[ok] @ w
     tag = {"estimator": "full_plant_matrix_inverse",
            "source": frm.gs.estimator_tag.get("estimator"),
            "variance_approximate": have_var}
@@ -421,13 +386,16 @@ def direct_bias_asymptote(g0, k_frf, phi_dd, phi_vv) -> np.ndarray:
     ``(G0*phi_dd - conj(K)*phi_vv) / (phi_dd + |K|^2*phi_vv)``. The
     controller response enters conjugated because the cross-spectrum
     convention is ``Y U^H``; with it the no-excitation limit is exactly
-    ``-1/K`` and the noise-free limit is G0.
+    ``-1/K`` and the noise-free limit is G0. NaN where the denominator
+    is 0, which is where nothing drives the loop.
     """
     g0 = np.asarray(g0, dtype=complex)
     k = np.asarray(k_frf, dtype=complex)
     phi_dd = np.asarray(phi_dd, dtype=float)
     phi_vv = np.broadcast_to(np.asarray(phi_vv, dtype=float), g0.shape)
-    return (g0 * phi_dd - np.conj(k) * phi_vv) / (phi_dd + np.abs(k) ** 2 * phi_vv)
+    den = phi_dd + np.abs(k) ** 2 * phi_vv
+    out = np.full(g0.shape, complex(np.nan, np.nan))
+    return np.divide(g0 * phi_dd - np.conj(k) * phi_vv, den, out=out, where=den != 0)
 
 
 def equivalent_plant_true(g_true: np.ndarray, k_frf: np.ndarray) -> np.ndarray:

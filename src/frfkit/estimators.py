@@ -11,19 +11,18 @@ entries instead of failing silently.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .signals import SpectrumSet, WindowFunction
 
 TWO_PI = 2.0 * math.pi
 
 ETFE_FLOOR_REL = 1e-12  # default |U| floor relative to the spectrum peak
+LPM_CHUNK = 2048        # bins per stacked local fit; bounds the regressor's memory
 
 
 @dataclass
@@ -232,64 +231,74 @@ def power_spectra(spectra: SpectrumSet, input_channels=(0,), output_channels=(1,
     return PowerSpectra(phi_yu, phi_uu, phi_yy, m, spectra.bin_frequencies)
 
 
+def _conditioning(mats: np.ndarray):
+    """2-norm condition number of each stacked square matrix, and the mask
+    of the matrices that can be inverted.
+
+    The condition number is NaN where a matrix holds a non-finite entry
+    and inf where it is exactly singular. A matrix can be inverted when
+    its condition number is below ``1/eps``, that is, when it is not
+    singular to working precision.
+    """
+    cond = np.full(mats.shape[0], np.nan)
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    cond[finite] = np.linalg.cond(mats[finite])
+    return cond, cond < 1.0 / np.finfo(float).eps
+
+
+def _hermitian(mats: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each stacked matrix."""
+    return np.conj(mats).swapaxes(-1, -2)
+
+
 def noise_covariance(ps: PowerSpectra) -> np.ndarray:
     """Residual output-noise covariance per bin, shape (n_bins, n_y, n_y).
 
     ``C_v(k) = M/(M - n_u) * (phi_yy - phi_yu phi_uu^{-1} phi_yu^H)``.
     Returned unclipped (complex); callers take the real diagonal. Bins
-    with singular ``phi_uu`` come back as NaN. Requires M > n_u.
+    with singular or non-finite ``phi_uu`` come back as NaN. Requires
+    M > n_u.
     """
     m, n_u = ps.m_windows, ps.n_inputs
     if m <= n_u:
         raise ValueError(f"need more windows than inputs (M={m}, n_u={n_u})")
     n_bins = ps.phi_uu.shape[0]
     cv = np.full((n_bins, ps.n_outputs, ps.n_outputs), np.nan + 0j)
-    scale = m / (m - n_u)
-    for k in range(n_bins):
-        try:
-            sol = np.linalg.solve(ps.phi_uu[k].T, ps.phi_yu[k].T)  # phi_uu^{-T} phi_yu^T
-        except np.linalg.LinAlgError:
-            continue
-        proj = sol.T @ np.conj(ps.phi_yu[k].T)  # phi_yu phi_uu^{-1} phi_yu^H
-        cv[k] = scale * (ps.phi_yy[k] - proj)
+    ok = _conditioning(ps.phi_uu)[1]
+    phi_yu = ps.phi_yu[ok]
+    sol = np.linalg.solve(ps.phi_uu[ok].swapaxes(1, 2), phi_yu.swapaxes(1, 2))
+    cv[ok] = m / (m - n_u) * (ps.phi_yy[ok] - sol.swapaxes(1, 2) @ _hermitian(phi_yu))
     return cv
+
+
+def _input_defect(k: int, cond: float) -> BinDefect:
+    if np.isnan(cond):
+        return BinDefect(k, "nonfinite_input_spectrum")
+    if np.isinf(cond):
+        return BinDefect(k, "singular_input_spectrum", 0.0)
+    return BinDefect(k, "ill_conditioned_input_spectrum", cond)
 
 
 def spectral_analysis(ps: PowerSpectra, cond_limit: float = 1e12) -> FrfEstimate:
     """Spectral-analysis FRF ``G(k) = phi_yu(k) phi_uu(k)^{-1}`` per bin.
 
-    When M > n_u the per-entry variance is attached as
-    ``var(G_ij) = (1/M) * [phi_uu^{-1}]_jj * [C_v]_ii`` with the noise
-    covariance from :func:`noise_covariance`; otherwise variance is
-    flagged absent (None). Singular or ill-conditioned ``phi_uu`` bins
-    become NaN defects carrying the condition number.
+    All bins are solved as one stack. When M > n_u the per-entry variance
+    is attached as ``var(G_ij) = (1/M) * [phi_uu^{-1}]_jj * [C_v]_ii``
+    with the noise covariance from :func:`noise_covariance`; otherwise
+    variance is flagged absent (None). Bins whose ``phi_uu`` is not
+    finite, exactly singular (detail 0) or has a condition number above
+    ``cond_limit`` (detail: the condition number) become NaN defects.
     """
     n_bins = ps.phi_uu.shape[0]
     n_y, n_u = ps.n_outputs, ps.n_inputs
     g = np.full((n_bins, n_y, n_u), np.nan + 0j)
     inv_diag = np.full((n_bins, n_u), np.nan)
-    defects = []
-    eye = np.eye(n_u)
-    for k in range(n_bins):
-        puu = ps.phi_uu[k]
-        if not np.all(np.isfinite(puu)):
-            defects.append(BinDefect(k, "nonfinite_input_spectrum"))
-            continue
-        if n_u == 1:
-            p = puu[0, 0].real
-            if p <= 0.0:
-                defects.append(BinDefect(k, "singular_input_spectrum", 0.0))
-                continue
-            g[k] = ps.phi_yu[k] / p
-            inv_diag[k, 0] = 1.0 / p
-            continue
-        cond = np.linalg.cond(puu)
-        if not np.isfinite(cond) or cond > cond_limit:
-            defects.append(BinDefect(k, "ill_conditioned_input_spectrum", float(cond)))
-            continue
-        inv_uu = np.linalg.solve(puu, eye)
-        g[k] = ps.phi_yu[k] @ inv_uu
-        inv_diag[k] = np.real(np.diag(inv_uu))
+    cond, invertible = _conditioning(ps.phi_uu)
+    ok = invertible & (cond <= cond_limit)
+    inv_uu = np.linalg.inv(ps.phi_uu[ok])
+    g[ok] = ps.phi_yu[ok] @ inv_uu
+    inv_diag[ok] = np.real(np.diagonal(inv_uu, axis1=1, axis2=2))
+    defects = [_input_defect(int(k), float(cond[k])) for k in np.flatnonzero(~ok)]
 
     variance = None
     m = ps.m_windows
@@ -380,49 +389,57 @@ def lpm_edge_policy(k: int, n_bins: int, cfg: LpmConfig) -> range:
 
 def _lpm_fit_bins(bins, u, y, cfg, n_bins, g, transient, variance,
                   local_models, defects):
-    """Fit the local model at each requested bin (fills output arrays)."""
+    """Fit the local model at the requested bins (fills output arrays).
+
+    The bins are fitted in stacks of ``LPM_CHUNK``: one regressor ``R``
+    of shape ``(q, width)`` per bin and one batched SVD ``R = L S Rh``.
+    The SVD gives the least-squares coefficients ``Y Rh^H S^-1 L^H``,
+    the rank (singular values above ``width * eps`` times the largest,
+    the tolerance of ``numpy.linalg.matrix_rank``) and the parameter
+    covariance factor ``(R R^H)^-1 = L S^-2 L^H``. Every bin is solved on
+    its own, so its result does not depend on the chunk it lands in.
+    """
     n_u = u.shape[0]
-    n_y = y.shape[0]
     order = cfg.poly_order
     n_w = cfg.half_width
     q_g = (order + 1) * n_u
     q = q_g + (order + 1)
     width = 2 * n_w + 1
-    t_row = q_g  # row of the zeroth-order transient coefficient
-    for k in bins:
-        idx = lpm_edge_policy(k, n_bins, cfg)
-        lo = idx.start
+    dof = width - q
+    powers = np.arange(order + 1)[:, np.newaxis]
+    for start in range(0, len(bins), LPM_CHUNK):
+        k = bins[start:start + LPM_CHUNK]
+        lo = np.clip(k - n_w, 0, n_bins - width)  # lpm_edge_policy for every bin
+        window = lo[:, np.newaxis] + np.arange(width)
         # offsets normalized to the half-width for conditioning; the
         # zeroth-order coefficients are invariant under this rescaling
-        rho = (np.arange(lo, lo + width) - k) / n_w
-        k1 = np.vander(rho, order + 1, increasing=True).T  # (order+1, width)
-        u_win = u[:, lo:lo + width]
-        reg = np.empty((q, width), dtype=complex)
-        reg[:q_g] = (k1[:, np.newaxis, :] * u_win[np.newaxis, :, :]).reshape(q_g, width)
-        reg[q_g:] = k1
-        y_win = y[:, lo:lo + width]
-        sol, _, rank, _ = scipy.linalg.lstsq(
-            reg.conj().T, y_win.conj().T, lapack_driver="gelsy", check_finite=False)
-        if rank < q:
-            defects.append(BinDefect(int(k), "rank_deficient_regressor", float(rank)))
-            continue
-        theta = sol.conj().T  # (n_y, q)
-        g[k] = theta[:, :n_u]
-        transient[k] = theta[:, t_row]
+        rho = (window - k[:, np.newaxis]) / n_w
+        k1 = rho[:, np.newaxis, :] ** powers                   # (c, order+1, width)
+        u_win = u[:, window].swapaxes(0, 1)                    # (c, n_u, width)
+        reg = np.concatenate(
+            [(k1[:, :, np.newaxis, :] * u_win[:, np.newaxis]).reshape(len(k), q_g, width),
+             k1], axis=1)                                      # (c, q, width)
+        left, sv, right = np.linalg.svd(reg, full_matrices=False)
+        rank = np.count_nonzero(sv > width * np.finfo(float).eps * sv[:, :1], axis=1)
+        full = rank == q
+        defects += [BinDefect(int(b), "rank_deficient_regressor", float(r))
+                    for b, r in zip(k[~full], rank[~full])]
+        k, reg, left, sv, right = k[full], reg[full], left[full], sv[full], right[full]
+        y_win = y[:, window].swapaxes(0, 1)[full]              # (f, n_y, width)
+        theta = (y_win @ _hermitian(right) / sv[:, np.newaxis, :]) @ _hermitian(left)
+        g[k] = theta[:, :, :n_u]
+        transient[k] = theta[:, :, q_g]
         resid = y_win - theta @ reg
-        dof = width - q
-        sigma2 = np.sum(np.abs(resid) ** 2, axis=1) / dof
-        gram_inv = np.linalg.inv(reg @ reg.conj().T)
-        var_cols = np.real(np.diag(gram_inv))[:n_u]
-        variance[k] = np.maximum(sigma2[:, np.newaxis] * var_cols[np.newaxis, :], 0.0)
+        sigma2 = np.sum(np.abs(resid) ** 2, axis=2) / dof
+        var_cols = np.sum(np.abs(left[:, :n_u, :]) ** 2 / sv[:, np.newaxis, :] ** 2, axis=2)
+        variance[k] = sigma2[:, :, np.newaxis] * var_cols[:, np.newaxis, :]
         if local_models is not None:
-            powers = float(n_w) ** np.arange(order + 1)
-            theta_g = theta[:, :q_g].reshape(n_y, order + 1, n_u).transpose(1, 0, 2)
-            theta_t = theta[:, q_g:].T.copy()
             # undo the offset normalization: coefficient of r^s is c_s / n_w^s
-            theta_g /= powers[:, np.newaxis, np.newaxis]
-            theta_t /= powers[:, np.newaxis]
-            local_models[k] = LocalModelTheta(theta_g, theta_t)
+            scale = float(n_w) ** powers
+            for b, th in zip(k, theta):
+                theta_g = th[:, :q_g].reshape(-1, order + 1, n_u).transpose(1, 0, 2)
+                local_models[b] = LocalModelTheta(theta_g / scale[:, :, np.newaxis],
+                                                  th[:, q_g:].T / scale)
 
 
 def lpm_fit(spectra: SpectrumSet, cfg: LpmConfig = None, input_channels=(0,),
@@ -522,42 +539,3 @@ def write_frf_csv(est: FrfEstimate, path) -> None:
             if est.condition is not None:
                 row.append(repr(float(est.condition[k])))
             writer.writerow(row)
-
-
-def frf_to_json_dict(est: FrfEstimate) -> dict:
-    """JSON-ready mirror of the CSV schema plus the estimator tag."""
-    entries = {}
-    for i, j, name in _entry_names(est):
-        entry = {
-            "re": [float(v) for v in est.g[:, i, j].real],
-            "im": [float(v) for v in est.g[:, i, j].imag],
-        }
-        if est.variance is not None:
-            entry["variance"] = [float(v) for v in est.variance[:, i, j]]
-        entries[name] = entry
-    doc = {
-        "estimator_tag": est.estimator_tag,
-        "frequency_hz": [float(v) for v in est.frequencies_hz],
-        "entries": entries,
-        "defects": [
-            {"bin": d.bin_index, "reason": d.reason, "detail": d.detail}
-            for d in est.defects
-        ],
-    }
-    if est.transient is not None:
-        doc["transient"] = {
-            f"t{i + 1}": {
-                "re": [float(v) for v in est.transient[:, i].real],
-                "im": [float(v) for v in est.transient[:, i].imag],
-            }
-            for i in range(est.n_outputs)
-        }
-    if est.condition is not None:
-        doc["condition"] = [float(v) for v in est.condition]
-    return doc
-
-
-def write_frf_json(est: FrfEstimate, path) -> None:
-    Path(path).write_text(
-        json.dumps(frf_to_json_dict(est), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")

@@ -229,30 +229,6 @@ def generate_multisine(spec: MultisineSpec, ts: float, channel_name: str = "d1")
     return TimeSeries(x[np.newaxis, :], ts, (channel_name,))
 
 
-def segment(x: TimeSeries, window_length: int, overlap_fraction: float = 0.0) -> list:
-    """Split a record into full windows of ``window_length`` samples.
-
-    The stride is ``round(window_length * (1 - overlap_fraction))`` samples
-    (at least 1) and any trailing partial window is discarded, so the
-    window count is ``(n_samples - window_length) // stride + 1``.
-    """
-    window_length = int(window_length)
-    if window_length < 1:
-        raise ValueError("window_length must be >= 1")
-    if window_length > x.n_samples:
-        raise ValueError(
-            f"window_length {window_length} exceeds record length {x.n_samples}")
-    if not 0.0 <= overlap_fraction < 1.0:
-        raise ValueError("overlap_fraction must be in [0, 1)")
-    stride = max(int(round(window_length * (1.0 - overlap_fraction))), 1)
-    m = (x.n_samples - window_length) // stride + 1
-    return [
-        TimeSeries(x.data[:, i * stride:i * stride + window_length].copy(),
-                   x.ts, x.channel_names)
-        for i in range(m)
-    ]
-
-
 @dataclass(frozen=True)
 class WindowFunction:
     """Taper applied to a time window before its DFT.
@@ -291,14 +267,6 @@ class WindowFunction:
         if self.kind == "rectangular":
             return 1.0
         return float(np.mean(self.values() ** 2))
-
-
-def apply_window(x, w: WindowFunction) -> np.ndarray:
-    """Pointwise product of a sequence with a window."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != w.length:
-        raise ValueError(f"length mismatch: signal {x.shape[-1]}, window {w.length}")
-    return x * w.values()
 
 
 @dataclass
@@ -368,24 +336,24 @@ class SpectrumSet:
 
 
 def spectrum_set(x: TimeSeries, window_length: int = None,
-                 overlap_fraction: float = 0.0,
                  window: WindowFunction = None) -> SpectrumSet:
-    """Segment a record, taper each window and DFT it (one-sided storage).
+    """Cut a record into consecutive windows, taper each and DFT it
+    (one-sided storage).
 
-    ``window_length`` defaults to the whole record (a single window).
+    ``window_length`` defaults to the whole record (a single window). The
+    record is split into ``n_samples // window_length`` windows without
+    overlap; a trailing partial window is discarded.
     """
     length = x.n_samples if window_length is None else int(window_length)
+    if length > x.n_samples:
+        raise ValueError(f"window_length {length} exceeds record length {x.n_samples}")
     if window is None:
         window = WindowFunction.rectangular(length)
     elif window.length != length:
         raise ValueError(f"window length {window.length} does not match segment length {length}")
-    pieces = segment(x, length, overlap_fraction)
-    wvals = window.values()
-    n_bins = length // 2 + 1
-    data = np.empty((len(pieces), x.n_channels, n_bins), dtype=complex)
-    scale = 1.0 / math.sqrt(length)
-    for i, piece in enumerate(pieces):
-        data[i] = np.fft.rfft(piece.data * wvals, axis=1) * scale
+    m = x.n_samples // length
+    pieces = x.data[:, :m * length].reshape(x.n_channels, m, length).swapaxes(0, 1)
+    data = np.fft.rfft(pieces * window.values(), axis=2) * (1.0 / math.sqrt(length))
     return SpectrumSet(data, bin_frequencies(length, x.ts), length,
                        x.channel_names, window, x.ts)
 

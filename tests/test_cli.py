@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -161,6 +164,17 @@ class TestParseConfig:
             parse_config(write_config(tmp_path, doc))
 
 
+    def test_band_without_excited_bin_rejected(self, tmp_path, capsys):
+        # 0.05 s periods at 1 kHz excite 440 and 480 Hz, both above the
+        # default band's 400 Hz edge, so no band statistic could be formed
+        doc = {"scenario": "custom", "fs_hz": 1000.0,
+               "multisine": {"period_seconds": 0.05, "excited_bins": [22, 24]},
+               "n_periods_total": 2, "noise_std": 0.0, "estimators": ["sa_rect"],
+               "seeds": {"phase": 1}, "output_dir": str(tmp_path / "out")}
+        assert main(["run", str(write_config(tmp_path, doc))]) == 2
+        assert "$.band_hz" in capsys.readouterr().err
+
+
 class TestRunScenario:
     def test_transient_study_report(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, FAST_TRANSIENT))
@@ -201,6 +215,29 @@ class TestRunScenario:
         assert set(report.estimates) == {"gs", "s", "g_full", "g_equiv"}
         assert report.extra_stats["max_gap_vs_interaction_dev"] < 1e-6
         assert report.extra_stats["max_interaction_magnitude"] > 0.01
+
+    def test_mimo_statistics_over_no_finite_bin_are_null(self, tmp_path):
+        # three excited bins on a 20-sample period: every 9-bin LPM window
+        # holds too few excited bins, so no excited bin gets an estimate
+        doc = {"scenario": "mimo_full_vs_equivalent", "fs_hz": 200.0,
+               "multisine": {"period_seconds": 0.1, "excited_bins": [3, 6, 8]},
+               "n_periods_total": 3, "estimators": ["lpm"], "seeds": {"phase": 1}}
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == 3
+        extra = json.loads((out / "summary.json").read_text())["extra_statistics"]
+        assert extra["max_gap_vs_interaction_dev"] is None
+        assert extra["max_interaction_magnitude"] > 0
+
+    def test_noise_free_bias_asymptote_is_nan_where_undriven(self, tmp_path):
+        # no excitation and no noise at DC: the asymptote's denominator is 0
+        doc = {"scenario": "closed_loop_siso_bias", "fs_hz": 200.0,
+               "multisine": {"period_seconds": 0.1}, "n_periods_total": 3,
+               "n_periods_used": 2, "noise_std": 0.0, "estimators": ["direct_sa"],
+               "seeds": {"phase": 1}}
+        report = run_scenario(parse_config(write_config(tmp_path, doc)))
+        asymptote = report.oracles["bias_asymptote"].g[:, 0, 0]
+        assert np.isnan(asymptote[0])
+        assert np.all(np.isfinite(asymptote[1:-1]))
 
     def test_defect_fraction_counts_each_bin_once(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, FAST_BIAS))
@@ -474,3 +511,16 @@ if __name__ == "__main__":
         for scenario, estimator in ACCEPTED_PAIRS:
             reference.update(accepted_pair_arrays(scenario, estimator, Path(workdir)))
     np.savez_compressed(REFERENCE_OUTPUTS, **reference)
+
+
+class TestImport:
+    def test_cli_loads_no_scipy(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        code = ("import sys, frfkit.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "[]"
+

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frfkit.closedloop import (
     ClosedLoopDataset,
     FrmPair,
-    controller_inversion_estimate,
     direct_bias_asymptote,
     direct_estimate,
     equivalent_plant,
@@ -204,49 +205,6 @@ class TestIndirectEstimate:
         assert slope == pytest.approx(-0.5, abs=0.15)
 
 
-class TestControllerInversion:
-    def test_exact_algebra(self, siso_plant, siso_ctrl):
-        freqs = bin_frequencies(PERIOD, TS)[1:]
-        g0 = true_frf(siso_plant, freqs).g[:, 0, 0]
-        k = siso_ctrl.frf(freqs)[:, 0, 0]
-        s_exact = 1.0 / (1.0 + k * g0)
-        s_est = FrfEstimate(s_exact[:, None, None], freqs)
-        est = controller_inversion_estimate(s_est, k)
-        rel = np.abs(est.g[:, 0, 0] - g0) / np.abs(g0)
-        # recovering G from 1/S - 1 cancels digits where the loop gain is
-        # small, so exactness is conditioned on |K*G|
-        strong = np.abs(k * g0) > 1e-3
-        assert strong.sum() > 100
-        assert np.max(rel[strong]) < 1e-12
-        assert np.max(rel) < 1e-8
-
-    def test_unit_sensitivity_gives_zero(self):
-        freqs = np.arange(1.0, 10.0)
-        s_est = FrfEstimate(np.ones((9, 1, 1), dtype=complex), freqs)
-        est = controller_inversion_estimate(s_est, np.full(9, 0.5 + 0.1j))
-        assert np.allclose(est.g, 0.0)
-
-    def test_zero_controller_bin_defect(self):
-        freqs = np.arange(1.0, 5.0)
-        s_est = FrfEstimate(np.full((4, 1, 1), 0.5 + 0j), freqs)
-        k = np.array([1.0, 0.0, 1.0, 1.0], dtype=complex)
-        est = controller_inversion_estimate(s_est, k)
-        assert np.isnan(est.g[1, 0, 0])
-        assert 1 in est.defect_bins()
-
-    def test_matches_indirect_on_noiseless_loop(self, siso_plant, siso_ctrl):
-        spec, ds = siso_run(siso_plant, siso_ctrl, 4, steady=True)
-        _, s_hat = sensitivity_pair(ds, "sa", window_length=PERIOD,
-                                    u_channels=[0], y_channels=[0])
-        k = siso_ctrl.frf(s_hat.bin_frequencies)[:, 0, 0]
-        inv_est = controller_inversion_estimate(s_hat, k)
-        ind_est = indirect_estimate(ds, "sa", window_length=PERIOD)
-        exc = np.array(spec.excited_bins)
-        rel = np.abs(inv_est.g[exc, 0, 0] - ind_est.g[exc, 0, 0]) \
-            / np.abs(ind_est.g[exc, 0, 0])
-        assert np.max(rel) < 1e-6
-
-
 @pytest.fixture(scope="module")
 def mimo_frm(plant_d, mimo_ctrl):
     spec = MultisineSpec.flat(1000, rms=1.0, phase_seed=50, n_periods=2)
@@ -408,3 +366,55 @@ class TestDatasetValidation:
         s = FrfEstimate(np.zeros((3, 2, 1), dtype=complex), freqs)
         with pytest.raises(ValueError):
             FrmPair(gs, s)
+
+
+def full_plant_per_bin(frm: FrmPair, cond_limit: float = 1e8):
+    """``GS S^-1`` with one condition number and inverse per bin."""
+    n_bins, n = frm.s.n_bins, frm.s.n_inputs
+    g = np.full((n_bins, frm.gs.n_outputs, n), np.nan + 0j)
+    variance = np.full(g.shape, np.nan)
+    cond = np.full(n_bins, np.nan)
+    defects = set()
+    for k in range(n_bins):
+        s_k = frm.s.g[k]
+        if not np.all(np.isfinite(s_k)):
+            defects.add((k, "sensitivity_not_finite"))
+            continue
+        cond[k] = np.linalg.cond(s_k)
+        if not np.isfinite(cond[k]) or cond[k] > cond_limit:
+            defects.add((k, "sensitivity_ill_conditioned"))
+            continue
+        s_inv = np.linalg.inv(s_k)
+        g[k] = frm.gs.g[k] @ s_inv
+        w = np.abs(s_inv) ** 2
+        variance[k] = frm.gs.variance[k] @ w + (np.abs(g[k]) ** 2) @ frm.s.variance[k] @ w
+    return g, variance, cond, defects
+
+
+class TestStackedEqualsPerBin:
+    """The stacked plant extraction against the per-bin loop it replaced."""
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(n=st.integers(1, 3), n_y=st.integers(1, 3), n_bins=st.integers(3, 80),
+           seed=st.integers(0, 2**32 - 1))
+    def test_full_plant(self, n, n_y, n_bins, seed):
+        rng = np.random.default_rng(seed)
+
+        def cplx(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        s = cplx(n_bins, n, n)
+        s[0] = 0.0                    # exactly singular
+        s[1, 0, 0] = np.nan           # not finite
+        s[2] = 1e-9 * np.eye(n) + 1.0  # ill-conditioned (for n > 1)
+        freqs = np.arange(1.0, n_bins + 1.0)
+        frm = FrmPair(FrfEstimate(cplx(n_bins, n_y, n), freqs,
+                                  variance=rng.uniform(0, 1, (n_bins, n_y, n))),
+                      FrfEstimate(s, freqs, variance=rng.uniform(0, 1, (n_bins, n, n))))
+        est = full_plant(frm)
+        g, variance, cond, defects = full_plant_per_bin(frm)
+        assert {(d.bin_index, d.reason) for d in est.defects} == defects
+        for got, want in ((est.g, g), (est.variance, variance), (est.condition, cond)):
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            finite = np.isfinite(want)
+            scale = np.max(np.abs(want[finite]), initial=0.0)
+            assert np.max(np.abs(got[finite] - want[finite]), initial=0.0) <= 1e-12 * scale

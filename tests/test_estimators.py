@@ -1,8 +1,10 @@
-import json
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frfkit.estimators import (
     FrfEstimate,
@@ -15,7 +17,6 @@ from frfkit.estimators import (
     power_spectra,
     spectral_analysis,
     write_frf_csv,
-    write_frf_json,
 )
 from frfkit.signals import (
     MultisineSpec,
@@ -196,8 +197,10 @@ class TestPowerSpectra:
 
 
 class TestSpectralAnalysis:
-    def test_single_window_equals_etfe(self):
-        sp = synthetic_spectra(64, 2, 12)
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(n_bins=st.integers(2, 200), seed=st.integers(0, 2**32 - 1))
+    def test_single_window_equals_etfe(self, n_bins, seed):
+        sp = synthetic_spectra(n_bins, 2, seed)
         sa = spectral_analysis(power_spectra(sp, [0], [1]))
         ref = etfe(sp)
         ok = ~np.isnan(ref.g[:, 0, 0])
@@ -437,10 +440,12 @@ class TestLpm:
     def test_rank_deficient_bin_defect(self):
         sp = synthetic_spectra(32, 2, 24)
         sp.data[0, 0, :] = 1.0  # constant input: U-columns collide with T-columns
-        est = lpm_fit(sp, LpmConfig.auto(1, 2), input_channels=[0], output_channels=[1])
+        cfg = LpmConfig.auto(1, 2)
+        est = lpm_fit(sp, cfg, input_channels=[0], output_channels=[1])
         assert len(est.defects) == 32
         assert {d.reason for d in est.defects} == {"rank_deficient_regressor"}
         assert np.all(np.isnan(est.g))
+        assert defect_set(est) == lpm_per_bin(sp, cfg, 1, range(32))[3]
 
     def test_bin_subset(self, steady_record):
         _, stacked = steady_record
@@ -537,13 +542,162 @@ class TestExports:
         assert header == ["frequency_hz", "g11_re", "g11_im", "g12_re", "g12_im",
                           "g21_re", "g21_im", "g22_re", "g22_im", "cond"]
 
-    def test_json_mirrors_schema(self, tmp_path):
-        sp = synthetic_spectra(8, 2, 41)
-        est = etfe(sp)
-        path = tmp_path / "frf.json"
-        write_frf_json(est, path)
-        doc = json.loads(path.read_text())
-        assert doc["estimator_tag"]["estimator"] == "etfe"
-        assert len(doc["frequency_hz"]) == 8
-        assert set(doc["entries"]) == {"g11"}
-        assert "re" in doc["entries"]["g11"]
+
+def defect_set(est) -> set:
+    return {(d.bin_index, d.reason) for d in est.defects}
+
+
+def assert_matches_reference(got, want, rtol=1e-12, slack=0.0):
+    """Same NaN mask, and values within ``rtol`` of the largest finite
+    reference magnitude plus an elementwise ``slack``."""
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    finite = np.isfinite(want)
+    scale = np.max(np.abs(want[finite]), initial=0.0)
+    excess = np.abs(got - want) - slack
+    assert np.max(excess[finite], initial=0.0) <= rtol * scale
+
+
+def lpm_per_bin(sp, cfg, n_u, bins):
+    """Per-bin local polynomial fit, one bin at a time as the package did
+    before the fit was stacked: scipy's ``gelsy`` least squares, then
+    ``inv(R R^H)`` for the variance. Inputs are the first ``n_u`` channels,
+    outputs the rest. Also returns, per bin, ``eps * cond(R)**2``: forming
+    ``R R^H`` squares the condition number, so that is the relative
+    accuracy of the variance here."""
+    u, y = sp.data[0, :n_u], sp.data[0, n_u:]
+    n_y, n_bins = y.shape
+    order, n_w = cfg.poly_order, cfg.half_width
+    q_g = (order + 1) * n_u
+    q = q_g + order + 1
+    width = 2 * n_w + 1
+    g = np.full((n_bins, n_y, n_u), np.nan + 0j)
+    transient = np.full((n_bins, n_y), np.nan + 0j)
+    variance = np.full((n_bins, n_y, n_u), np.nan)
+    gram_error = np.full(n_bins, np.nan)
+    defects = set()
+    for k in bins:
+        lo = lpm_edge_policy(k, n_bins, cfg).start
+        rho = (np.arange(lo, lo + width) - k) / n_w
+        k1 = np.vander(rho, order + 1, increasing=True).T
+        reg = np.vstack([(k1[:, np.newaxis, :] * u[np.newaxis, :, lo:lo + width])
+                         .reshape(q_g, width), k1])
+        y_win = y[:, lo:lo + width]
+        sol, _, rank, _ = scipy.linalg.lstsq(reg.conj().T, y_win.conj().T,
+                                             lapack_driver="gelsy")
+        if rank < q:
+            defects.add((int(k), "rank_deficient_regressor"))
+            continue
+        theta = sol.conj().T
+        g[k] = theta[:, :n_u]
+        transient[k] = theta[:, q_g]
+        sigma2 = np.sum(np.abs(y_win - theta @ reg) ** 2, axis=1) / (width - q)
+        var_cols = np.real(np.diag(np.linalg.inv(reg @ reg.conj().T)))[:n_u]
+        variance[k] = np.maximum(sigma2[:, np.newaxis] * var_cols[np.newaxis, :], 0.0)
+        gram_error[k] = np.finfo(float).eps * np.linalg.cond(reg) ** 2
+    return g, transient, variance, defects, gram_error
+
+
+def noise_covariance_per_bin(ps):
+    """Per-bin residual noise covariance, one ``solve`` per bin."""
+    m, n_u = ps.m_windows, ps.n_inputs
+    cv = np.full((ps.phi_uu.shape[0], ps.n_outputs, ps.n_outputs), np.nan + 0j)
+    for k in range(ps.phi_uu.shape[0]):
+        try:
+            sol = np.linalg.solve(ps.phi_uu[k].T, ps.phi_yu[k].T)
+        except np.linalg.LinAlgError:
+            continue
+        cv[k] = m / (m - n_u) * (ps.phi_yy[k] - sol.T @ np.conj(ps.phi_yu[k].T))
+    return cv
+
+
+def spectral_analysis_per_bin(ps, cond_limit=1e12):
+    """Per-bin spectral analysis with its own SISO path, as the package did
+    before it was stacked. One deliberate difference: an exactly singular
+    multi-input ``phi_uu`` (condition number inf), which that loop named
+    ``ill_conditioned_input_spectrum``, is ``singular_input_spectrum``
+    here, as it always was for one input."""
+    n_bins, n_u = ps.phi_uu.shape[0], ps.n_inputs
+    g = np.full((n_bins, ps.n_outputs, n_u), np.nan + 0j)
+    inv_diag = np.full((n_bins, n_u), np.nan)
+    defects = set()
+    for k in range(n_bins):
+        puu = ps.phi_uu[k]
+        if not np.all(np.isfinite(puu)):
+            defects.add((k, "nonfinite_input_spectrum"))
+            continue
+        if n_u == 1:
+            p = puu[0, 0].real
+            if p <= 0.0:
+                defects.add((k, "singular_input_spectrum"))
+                continue
+            g[k] = ps.phi_yu[k] / p
+            inv_diag[k, 0] = 1.0 / p
+            continue
+        cond = np.linalg.cond(puu)
+        if np.isinf(cond):
+            defects.add((k, "singular_input_spectrum"))
+            continue
+        if cond > cond_limit:
+            defects.add((k, "ill_conditioned_input_spectrum"))
+            continue
+        inv_uu = np.linalg.solve(puu, np.eye(n_u))
+        g[k] = ps.phi_yu[k] @ inv_uu
+        inv_diag[k] = np.real(np.diag(inv_uu))
+    variance = None
+    if ps.m_windows > n_u:
+        cv_diag = np.real(np.einsum("kii->ki", noise_covariance_per_bin(ps)))
+        variance = np.maximum(
+            inv_diag[:, np.newaxis, :] * cv_diag[:, :, np.newaxis] / ps.m_windows, 0.0)
+        variance[~np.isfinite(variance)] = np.nan
+    return g, variance, defects
+
+
+class TestStackedEqualsPerBin:
+    """The stacked estimators against the per-bin loops they replaced."""
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(order=st.integers(0, 3), n_u=st.integers(1, 2), wider=st.integers(0, 3),
+           spare=st.integers(0, 30), subset=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_lpm(self, order, n_u, wider, spare, subset, seed):
+        half_width = -(-(order + 1) * (n_u + 1) // 2) + wider  # smallest solvable + wider
+        n_bins = 2 * half_width + 1 + spare
+        sp = synthetic_spectra(n_bins, n_u + 2, seed)
+        rng = np.random.default_rng(seed)
+        bins = rng.permutation(n_bins)[:rng.integers(1, n_bins + 1)] if subset else None
+        cfg = LpmConfig(order, half_width, 1)
+        est = lpm_fit(sp, cfg, input_channels=list(range(n_u)),
+                      output_channels=[n_u, n_u + 1], bins=bins)
+        g, transient, variance, defects, gram_error = lpm_per_bin(
+            sp, cfg, n_u, range(n_bins) if bins is None else bins)
+        assert_matches_reference(est.g, g)
+        assert_matches_reference(est.transient, transient)
+        # at the edge bins of an order-3 fit the reference variance is off
+        # by up to 2e-12 of itself, where 40-digit arithmetic puts the
+        # stacked SVD's within 2e-14
+        assert_matches_reference(est.variance, variance,
+                                 slack=gram_error[:, None, None] * variance)
+        assert defect_set(est) == defects
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(n_u=st.integers(1, 3), extra_windows=st.integers(-1, 6), n_bins=st.integers(4, 60),
+           seed=st.integers(0, 2**32 - 1))
+    def test_spectral_analysis_and_noise_covariance(self, n_u, extra_windows, n_bins, seed):
+        m = max(1, n_u + extra_windows)
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((m, n_u + 2, n_bins)) \
+            + 1j * rng.standard_normal((m, n_u + 2, n_bins))
+        data[:, 0, 1] = 0.0        # exactly singular phi_uu at bin 1
+        data[0, n_u - 1, 2] = np.nan  # non-finite phi_uu at bin 2
+        sp = SpectrumSet(data, bin_frequencies(2 * (n_bins - 1), TS), 2 * (n_bins - 1), ts=TS)
+        ps = power_spectra(sp, list(range(n_u)), [n_u, n_u + 1])
+        sa = spectral_analysis(ps)
+        g, variance, defects = spectral_analysis_per_bin(ps)
+        assert_matches_reference(sa.g, g)
+        assert defect_set(sa) == defects
+        assert {1, 2} <= sa.defect_bins()
+        if variance is None:
+            assert sa.variance is None
+            return
+        assert_matches_reference(sa.variance, variance)
+        assert_matches_reference(noise_covariance(ps), noise_covariance_per_bin(ps))
+

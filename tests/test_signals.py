@@ -7,13 +7,11 @@ from frfkit.signals import (
     MultisineSpec,
     TimeSeries,
     WindowFunction,
-    apply_window,
     bin_frequencies,
     dft,
     generate_multisine,
     idft,
     read_timeseries_csv,
-    segment,
     spectrum_set,
     write_timeseries_csv,
 )
@@ -167,50 +165,14 @@ class TestMultisine:
             MultisineSpec(64, (0,), (1.0,))
 
 
-class TestSegment:
-    def test_two_periods_two_windows(self):
-        x = TimeSeries(np.zeros((1, 10000)), 1e-3)
-        assert len(segment(x, 5000)) == 2
-
-    def test_whole_record_single_window(self):
-        x = TimeSeries(np.arange(10000.0), 1e-3)
-        parts = segment(x, 10000)
-        assert len(parts) == 1
-        assert np.array_equal(parts[0].data, x.data)
-
-    def test_trailing_partial_window_dropped(self):
-        x = TimeSeries(np.arange(9999.0), 1e-3)
-        parts = segment(x, 5000)
-        assert len(parts) == 1
-        assert np.array_equal(parts[0].channel(0), np.arange(5000.0))
-
-    def test_window_longer_than_record(self):
-        x = TimeSeries(np.zeros(10), 1.0)
-        with pytest.raises(ValueError):
-            segment(x, 11)
-
-    @pytest.mark.parametrize("n,length,overlap", [(100, 10, 0.0), (100, 10, 0.5),
-                                                  (77, 8, 0.25), (64, 16, 0.75)])
-    def test_window_count_formula(self, n, length, overlap):
-        x = TimeSeries(np.arange(float(n)), 1.0)
-        stride = max(int(round(length * (1 - overlap))), 1)
-        expected = (n - length) // stride + 1
-        assert len(segment(x, length, overlap)) == expected
-
-
 class TestWindows:
-    def test_rectangular_identity(self):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(32)
-        assert np.array_equal(apply_window(x, WindowFunction.rectangular(32)), x)
-
     def test_hann_closed_form_n4(self):
         w = WindowFunction.hann(4).values()
         assert np.allclose(w, [0.0, 0.5, 1.0, 0.5], atol=1e-15)
 
     def test_hann_on_constant_spreads_three_bins(self):
         n = 64
-        windowed = apply_window(np.ones(n), WindowFunction.hann(n))
+        windowed = np.ones(n) * WindowFunction.hann(n).values()
         X = dft(windowed)
         mask = np.ones(n, dtype=bool)
         mask[[0, 1, n - 1]] = False
@@ -218,10 +180,6 @@ class TestWindows:
 
     def test_hann_power(self):
         assert WindowFunction.hann(1024).power() == pytest.approx(0.375, rel=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_window(np.ones(5), WindowFunction.hann(6))
 
     def test_values_in_unit_interval(self):
         w = WindowFunction.hann(33).values()
@@ -249,8 +207,20 @@ class TestSpectrumSet:
         x = TimeSeries(rng.standard_normal(64), 1.0)
         w = WindowFunction.hann(64)
         spectra = spectrum_set(x, window=w)
-        manual = dft(apply_window(x.channel(0), w))
+        manual = dft(x.channel(0) * w.values())
         assert np.allclose(spectra.data[0, 0], manual[:33], atol=1e-13)
+
+    def test_trailing_partial_window_dropped(self):
+        x = TimeSeries(np.arange(9999.0), 1e-3)
+        spectra = spectrum_set(x, 5000)
+        assert spectra.n_windows == 1
+        assert np.array_equal(spectra.data[0, 0], spectrum_set(
+            TimeSeries(np.arange(5000.0), 1e-3)).data[0, 0])
+
+    def test_window_longer_than_record(self):
+        x = TimeSeries(np.zeros(10), 1.0)
+        with pytest.raises(ValueError):
+            spectrum_set(x, 11)
 
     def test_bin_frequencies_helper(self):
         freqs = bin_frequencies(1000, 1e-3)

@@ -18,6 +18,7 @@ from frfkit.sim import (
     IllPosedLoopError,
     StateSpaceModel,
     UnstableLoopError,
+    _expm,
     _tf2ss,
     benchmark_plant,
     closed_loop_steady_state,
@@ -501,3 +502,74 @@ class TestJsonRoundTrip:
         path.write_text('{"A": [[0]], "B": [[1]], "C": [[1]]}')
         with pytest.raises(ValueError):
             read_statespace_json(path)
+
+
+def true_frf_per_bin(m: StateSpaceModel, bin_freqs):
+    """``C (Omega I - A)^-1 B + D`` with one ``solve`` per bin, and the bins
+    where that solve fails."""
+    omegas = 1j * bin_freqs if m.is_continuous else np.exp(1j * bin_freqs * m.ts)
+    g = np.full((bin_freqs.size, m.n_outputs, m.n_inputs), np.nan + 0j)
+    singular = set()
+    for k, omega in enumerate(omegas):
+        try:
+            g[k] = m.c @ np.linalg.solve(omega * np.eye(m.n_states) - m.a, m.b) + m.d
+        except np.linalg.LinAlgError:
+            singular.add(k)
+    return g, singular
+
+
+def transient_spectrum_per_bin(m: StateSpaceModel, x0, xN, window_length: int):
+    z = np.exp(1j * np.arange(window_length // 2 + 1) * 2 * math.pi / window_length)
+    return np.array([m.c @ np.linalg.solve(np.eye(m.n_states) - m.a / zk, x0 - xN)
+                     for zk in z]) / math.sqrt(window_length)
+
+
+def assert_close_to_scale(actual, expected, rtol=1e-12):
+    """Values within ``rtol`` of the largest reference magnitude."""
+    scale = float(np.max(np.abs(expected), initial=0.0))
+    assert np.max(np.abs(actual - expected), initial=0.0) <= rtol * scale
+
+
+class TestStackedEqualsPerBin:
+    """The stacked oracles against the per-bin loops they replaced."""
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(data=st.data(), n_bins=st.integers(1, 300), continuous=st.booleans())
+    def test_true_frf(self, data, n_bins, continuous):
+        m = data.draw(stable_models())
+        if continuous:
+            m = StateSpaceModel(m.a - np.eye(m.n_states), m.b, m.c, m.d)
+        freqs = np.linspace(0.0, math.pi / TS, n_bins)
+        est = true_frf(m, freqs)
+        g, singular = true_frf_per_bin(m, freqs)
+        assert est.defect_bins() == singular == set()
+        assert_close_to_scale(est.g, g)
+
+    def test_true_frf_singular_resolvent(self):
+        # an integrator's resolvent is singular at DC, and only there
+        m = StateSpaceModel([[0.0, 1.0], [0.0, -2.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+        freqs = np.linspace(0.0, 10.0, 6)
+        est = true_frf(m, freqs)
+        g, singular = true_frf_per_bin(m, freqs)
+        assert singular == {0}
+        assert [(d.bin_index, d.reason) for d in est.defects] == [(0, "resolvent_singular")]
+        assert np.isnan(est.g[0]).all()
+        assert_close_to_scale(est.g[1:], g[1:])
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(data=st.data(), window_length=st.integers(2, 300))
+    def test_transient_spectrum(self, data, window_length):
+        m = data.draw(stable_models())
+        states = hnp.arrays(float, (m.n_states,), elements=st.floats(-1.0, 1.0))
+        x0, xn = data.draw(states), data.draw(states)
+        assert_close_to_scale(transient_spectrum(m, x0, xn, window_length),
+                              transient_spectrum_per_bin(m, x0, xn, window_length))
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(n=st.integers(1, 6), norm=st.floats(0.0, 10.0), seed=st.integers(0, 2**32 - 1))
+    def test_expm_matches_scipy(self, n, norm, seed):
+        a = np.random.default_rng(seed).standard_normal((n, n))
+        a *= norm / max(np.linalg.norm(a, 1), 1e-300)
+        want = scipy.linalg.expm(a)
+        assert np.max(np.abs(_expm(a) - want)) <= 1e-11 * np.max(np.abs(want))
+

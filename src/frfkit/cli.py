@@ -165,266 +165,262 @@ class ScenarioConfig:
         return 1.0 / self.fs_hz
 
     def echo(self) -> dict:
-        """Everything that influences the results, for the report."""
-        return {
-            "scenario": self.scenario,
-            "plant": self.plant_source,
-            "fs_hz": self.fs_hz,
-            "multisine": {
-                "period_seconds": self.period_seconds,
-                "period_samples": self.period_samples,
-                "excited_bins": "full" if self.excited_bins is None else self.excited_bins,
-                "rms": self.rms,
-            },
-            "n_periods_total": self.n_periods_total,
-            "n_periods_used": self.n_periods_used,
-            "noise_std": list(self.noise_std),
-            "estimators": list(self.estimators),
-            "lpm": {
-                "poly_order": self.lpm_poly_order,
-                "half_width": self.lpm_half_width,
-                "dof_margin": self.lpm_dof_margin,
-            },
-            "seeds": {"phase": self.phase_seed, "noise": self.noise_seed},
-            "band_hz": list(self.band_hz),
-            "excited_channel": self.excited_channel,
-            "controller": {
-                "gain": self.controller_gain,
-                "zero": self.controller_zero,
-                "pole": self.controller_pole,
-            },
-            "steady_state_start": self.steady_state_start,
-            "max_defect_fraction": self.max_defect_fraction,
-            "package_version": __version__,
-        }
+        """Everything that influences the results, for the report: each
+        field at its config path, except the plant, echoed as one string,
+        and the output directory; plus the period in samples and the
+        package version."""
+        echo = {"plant": self.plant_source, "package_version": __version__}
+        for f in _FIELDS:
+            if f.attr in ("plant_source", "output_dir"):
+                continue
+            section, _, key = f.path.rpartition(".")
+            node = echo.setdefault(section, {}) if section else echo
+            value = getattr(self, f.attr)
+            node[key] = list(value) if isinstance(value, tuple) else value
+        echo["multisine"]["period_samples"] = self.period_samples
+        if self.excited_bins is None:
+            echo["multisine"]["excited_bins"] = "full"
+        return echo
 
 
-_SCENARIO_DEFAULTS = {
-    "transient_study": {
-        "fs_hz": 1000.0, "period_seconds": 5.0, "n_periods_total": 2,
-        "noise_std": 1e-4, "steady_state_start": False,
-    },
-    "closed_loop_siso_bias": {
-        "fs_hz": 1000.0, "period_seconds": 1.0, "n_periods_total": 220,
-        "n_periods_used": 200, "noise_std": 0.05, "steady_state_start": False,
-    },
-    "mimo_full_vs_equivalent": {
-        "fs_hz": 1000.0, "period_seconds": 2.0, "n_periods_total": 2,
-        "noise_std": 0.0, "steady_state_start": True,
-    },
-    # "custom" applies no scenario defaults: geometry must be explicit
-    "custom": {},
-}
-
-_CUSTOM_REQUIRED = ("fs_hz", "multisine", "n_periods_total", "noise_std", "estimators")
-
-_TOP_KEYS = {"scenario", "plant", "fs_hz", "multisine", "n_periods_total",
-             "n_periods_used", "noise_std", "estimators", "lpm", "seeds",
-             "band_hz", "excited_channel", "controller", "steady_state_start",
-             "max_defect_fraction", "output_dir"}
-_MULTISINE_KEYS = {"period_seconds", "excited_bins", "rms"}
-_LPM_KEYS = {"poly_order", "half_width", "dof_margin"}
-_SEED_KEYS = {"phase", "noise"}
-_PLANT_KEYS = {"source", "path"}
-_CONTROLLER_KEYS = {"gain", "zero", "pole"}
+class _Required(str):
+    """The default of a field that has none: the config must state it, for
+    the reason the string gives."""
 
 
-def _reject_unknown(section: dict, allowed: set, path: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} at {path}")
+class _Field(NamedTuple):
+    """One config field: its JSON path below ``$``, the ScenarioConfig
+    attribute it fills, the ``_KINDS`` check that turns the JSON value into
+    that attribute, the bound that check enforces (for a number one or more
+    "op limit" rules, see ``_within``; for a choice the accepted values) and
+    its default: a value, a dict of per-scenario values (a scenario left out
+    must state the field), a function of the attributes earlier rows
+    filled, or a ``_Required``. A default of None makes the field optional,
+    so that JSON null leaves it unset."""
+
+    path: str
+    attr: str
+    kind: str
+    bound: object = None
+    default: object = None
 
 
-def _as_number(value, path: str, minimum=None, strict_min=False) -> float:
+def _within(value, path: str, bound, values):
+    """Check ``value`` against the bound's rules, "op limit" each, where a
+    limit is a number or the attribute of an earlier row."""
+    for rule in (bound,) if isinstance(bound, str) else bound or ():
+        op, limit = rule.split()
+        limit = values[limit] if limit in values else float(limit)
+        if not {">": value > limit, ">=": value >= limit, "<=": value <= limit}[op]:
+            raise ConfigError(f"{path}: must be {rule}, got {value}")
+    return value
+
+
+def _number(value, path: str, bound=None, values=()) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    value = float(value)
-    if minimum is not None:
-        if strict_min and not value > minimum:
-            raise ConfigError(f"{path}: must be > {minimum}, got {value}")
-        if not strict_min and not value >= minimum:
-            raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
-    return value
+    if not abs(value) <= sys.float_info.max:  # NaN, an infinity or an int beyond float
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return _within(float(value), path, bound, values)
 
 
-def _as_int(value, path: str, minimum=None) -> int:
+def _int(value, path: str, bound=None, values=()) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
+    return _within(value, path, bound, values)
+
+
+def _bool(value, path, bound, values) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected true or false")
     return value
+
+
+def _str(value, path, bound, values) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string, got {value!r}")
+    return value
+
+
+def _choice(value, path, bound, values) -> str:
+    if value not in bound:
+        raise ConfigError(f"{path}: expected one of {bound}, got {value!r}")
+    return value
+
+
+def _plant(value, path, bound, values) -> str:
+    """Replace the source in ``plant_source`` by "builtin" or the file's path."""
+    _str(value, path, bound, values)
+    return value if values["plant_source"] == "json" else "builtin"
+
+
+def _numbers(value, path, bound, values) -> tuple:
+    """One number, or a list of numbers, as a tuple."""
+    if isinstance(value, list):
+        return tuple(_number(v, f"{path}[]", bound) for v in value)
+    return (_number(value, path, bound),)
+
+
+def _edges(lo, hi, path: str, lo_path: str, hi_path: str) -> tuple:
+    """A frequency band, 0 <= low < high."""
+    lo, hi = _number(lo, lo_path, ">= 0"), _number(hi, hi_path, "> 0")
+    if hi <= lo:
+        raise ConfigError(f"{path}: the high edge must exceed the low edge")
+    return lo, hi
+
+
+def _band(value, path, bound, values) -> tuple:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{path}: expected [low_hz, high_hz]")
+    return _edges(*value, path, f"{path}[0]", f"{path}[1]")
+
+
+def _excitation(value, path, bound, values):
+    """``"full"`` (None), a list of bins, or a band ``{min_hz, max_hz}``
+    whose edges default to 0 and the Nyquist rate."""
+    if value == "full":
+        return None
+    if isinstance(value, list):
+        if not value:
+            raise ConfigError(f"{path}: must not be empty")
+        return [_int(v, f"{path}[]", ">= 1") for v in value]
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected 'full', a list or a band object")
+    for key in value:
+        if key not in ("min_hz", "max_hz"):
+            raise ConfigError(f"unknown key {key!r} at {path}")
+    return _edges(value.get("min_hz", 0.0), value.get("max_hz", values["fs_hz"] / 2),
+                  path, f"{path}.min_hz", f"{path}.max_hz")
+
+
+def _estimators(value, path, bound, values) -> tuple:
+    scenario = values["scenario"]
+    allowed = tuple(_ESTIMATORS[scenario])
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a non-empty list")
+    for i, name in enumerate(value):
+        if name not in allowed:
+            raise ConfigError(f"{path}: {name!r} not valid for {scenario} (use {allowed})")
+        if name in value[:i]:
+            raise ConfigError(f"{path}[{i}]: {name!r} is listed twice")
+    if scenario == "mimo_full_vs_equivalent" and len(value) > 1:
+        raise ConfigError(f"{path}[1]: the MIMO study runs one estimator")
+    return tuple(value)
+
+
+_KINDS = {"number": _number, "int": _int, "bool": _bool, "str": _str,
+          "choice": _choice, "plant": _plant, "number-or-list": _numbers,
+          "band": _band, "excitation": _excitation, "estimators": _estimators}
+
+
+def _by_scenario(*defaults) -> dict:
+    """Per-scenario defaults in the order of ``SCENARIOS``; ``custom``, left
+    out when three are given, must state the field."""
+    return dict(zip(SCENARIOS, defaults))
+
+
+# Every config field, in the order parse_config checks them: a row's
+# default may read the attributes of the rows above it.
+_FIELDS = (
+    _Field("scenario", "scenario", "choice", SCENARIOS,
+           _Required(f"(one of {', '.join(SCENARIOS)})")),
+    _Field("fs_hz", "fs_hz", "number", "> 0", _by_scenario(1000.0, 1000.0, 1000.0)),
+    _Field("multisine.period_seconds", "period_seconds", "number", "> 0",
+           _by_scenario(5.0, 1.0, 2.0)),
+    _Field("multisine.rms", "rms", "number", "> 0", 1.0),
+    _Field("multisine.excited_bins", "excited_bins", "excitation", None, "full"),
+    _Field("n_periods_total", "n_periods_total", "int", ">= 1", _by_scenario(2, 220, 2)),
+    _Field("n_periods_used", "n_periods_used", "int", (">= 1", "<= n_periods_total"),
+           lambda v: 200 if v["scenario"] == "closed_loop_siso_bias" else v["n_periods_total"]),
+    _Field("noise_std", "noise_std", "number-or-list", ">= 0", _by_scenario(1e-4, 0.05, 0.0)),
+    _Field("estimators", "estimators", "estimators", None,
+           {s: [n for n, e in _ESTIMATORS[s].items() if e.default]
+            for s in SCENARIOS if s != "custom"}),
+    _Field("seeds.phase", "phase_seed", "int", None,
+           _Required("(runs must be explicitly seeded)")),
+    _Field("seeds.noise", "noise_seed", "int", None,
+           lambda v: _Required("when noise_std > 0") if any(s > 0 for s in v["noise_std"])
+           else 0),
+    _Field("plant.source", "plant_source", "choice", ("builtin", "json"), "builtin"),
+    _Field("plant.path", "plant_source", "plant", None,
+           lambda v: _Required("when source is 'json'") if v["plant_source"] == "json"
+           else "builtin"),
+    _Field("lpm.poly_order", "lpm_poly_order", "int", ">= 0", 2),
+    _Field("lpm.half_width", "lpm_half_width", "int", ">= 1"),
+    _Field("lpm.dof_margin", "lpm_dof_margin", "int", ">= 1"),
+    _Field("band_hz", "band_hz", "band", None, lambda v: [0.4, 0.8 * v["fs_hz"] / 2.0]),
+    _Field("excited_channel", "excited_channel", "int", ">= 1", 1),
+    _Field("controller.gain", "controller_gain", "number", None, 50.0),
+    _Field("controller.zero", "controller_zero", "number", None, 0.9),
+    _Field("controller.pole", "controller_pole", "number", None, 0.5),
+    _Field("steady_state_start", "steady_state_start", "bool", None,
+           _by_scenario(False, False, True, False)),
+    _Field("max_defect_fraction", "max_defect_fraction", "number", ">= 0", 0.25),
+    _Field("output_dir", "output_dir", "str", None, "out"),
+)
+
+
+def _object_keys() -> dict:
+    """The keys the rows describe, by the path of the object holding them."""
+    keys = {}
+    for f in _FIELDS:
+        where = "$"
+        for name in f.path.split("."):
+            keys.setdefault(where, set()).add(name)
+            where += "." + name
+    return keys
+
+
+_KEYS = _object_keys()
+
+
+def _lookup(doc, path: str) -> tuple:
+    """The value at ``path`` and, when it is absent, the path of the
+    outermost key missing on the way to it. Each object on the way must
+    hold only keys that rows describe."""
+    node, where = doc, "$"
+    for name in path.split("."):
+        if not isinstance(node, dict):
+            raise ConfigError(f"{where}: expected an object")
+        for key in node:
+            if key not in _KEYS[where]:
+                raise ConfigError(f"unknown key {key!r} at {where}")
+        where += "." + name
+        if name not in node:
+            return None, where
+        node = node[name]
+    return node, None
 
 
 def parse_config(path) -> ScenarioConfig:
     """Read, strictly validate and default-fill a scenario configuration.
 
-    Unknown keys are rejected with their location; invariant violations
-    name the offending fields. Seeds are always explicit: runs carry no
-    hidden entropy.
+    Walks ``_FIELDS`` in order. Unknown keys, missing required fields and
+    values of the wrong type, out of bounds or not finite are rejected
+    with their path; cross-field violations name the offending fields.
+    Seeds are always explicit: runs carry no hidden entropy.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSON or UTF-8 decoding error
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ConfigError("$: config must be a JSON object")
-    _reject_unknown(doc, _TOP_KEYS, "$")
-
-    scenario = doc.get("scenario")
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"$.scenario: expected one of {SCENARIOS}, got {scenario!r}")
-    defaults = _SCENARIO_DEFAULTS[scenario]
-    if scenario == "custom":
-        missing = [k for k in _CUSTOM_REQUIRED if k not in doc]
-        if missing:
-            raise ConfigError(f"$.{missing[0]}: required for a custom scenario")
-
-    if "seeds" not in doc:
-        raise ConfigError("$.seeds: required (runs must be explicitly seeded)")
-    seeds = doc["seeds"]
-    if not isinstance(seeds, dict):
-        raise ConfigError("$.seeds: expected an object")
-    _reject_unknown(seeds, _SEED_KEYS, "$.seeds")
-    if "phase" not in seeds:
-        raise ConfigError("$.seeds.phase: required")
-    phase_seed = _as_int(seeds["phase"], "$.seeds.phase")
-
-    plant = doc.get("plant", {"source": "builtin"})
-    if not isinstance(plant, dict):
-        raise ConfigError("$.plant: expected an object")
-    _reject_unknown(plant, _PLANT_KEYS, "$.plant")
-    source = plant.get("source", "builtin")
-    if source == "builtin":
-        plant_source = "builtin"
-    elif source == "json":
-        if "path" not in plant:
-            raise ConfigError("$.plant.path: required when source is 'json'")
-        plant_source = str(plant["path"])
-    else:
-        raise ConfigError(f"$.plant.source: expected 'builtin' or 'json', got {source!r}")
-
-    fs_hz = _as_number(doc.get("fs_hz", defaults.get("fs_hz")), "$.fs_hz",
-                       minimum=0.0, strict_min=True)
-
-    multisine = doc.get("multisine", {})
-    if not isinstance(multisine, dict):
-        raise ConfigError("$.multisine: expected an object")
-    _reject_unknown(multisine, _MULTISINE_KEYS, "$.multisine")
-    period_seconds = _as_number(
-        multisine.get("period_seconds", defaults.get("period_seconds")),
-        "$.multisine.period_seconds", minimum=0.0, strict_min=True)
-    rms = _as_number(multisine.get("rms", 1.0), "$.multisine.rms",
-                     minimum=0.0, strict_min=True)
-    excited_raw = multisine.get("excited_bins", "full")
-    if excited_raw == "full":
-        excited_bins = None
-    elif isinstance(excited_raw, list):
-        excited_bins = [_as_int(v, "$.multisine.excited_bins[]", minimum=1)
-                        for v in excited_raw]
-        if not excited_bins:
-            raise ConfigError("$.multisine.excited_bins: must not be empty")
-    elif isinstance(excited_raw, dict):
-        _reject_unknown(excited_raw, {"min_hz", "max_hz"}, "$.multisine.excited_bins")
-        lo = _as_number(excited_raw.get("min_hz", 0.0), "$.multisine.excited_bins.min_hz",
-                        minimum=0.0)
-        hi = _as_number(excited_raw.get("max_hz", fs_hz / 2), "$.multisine.excited_bins.max_hz",
-                        minimum=0.0, strict_min=True)
-        if hi <= lo:
-            raise ConfigError("$.multisine.excited_bins: max_hz must exceed min_hz")
-        excited_bins = (lo, hi)
-    else:
-        raise ConfigError("$.multisine.excited_bins: expected 'full', a list or a band object")
-
-    n_total = _as_int(doc.get("n_periods_total", defaults.get("n_periods_total")),
-                      "$.n_periods_total", minimum=1)
-    n_used = _as_int(doc.get("n_periods_used", defaults.get("n_periods_used", n_total)),
-                     "$.n_periods_used", minimum=1)
-    if n_used > n_total:
-        raise ConfigError(
-            f"$.n_periods_used: {n_used} exceeds n_periods_total = {n_total}")
-
-    noise_raw = doc.get("noise_std", defaults.get("noise_std"))
-    if isinstance(noise_raw, list):
-        noise_std = tuple(_as_number(v, "$.noise_std[]", minimum=0.0) for v in noise_raw)
-    else:
-        noise_std = (_as_number(noise_raw, "$.noise_std", minimum=0.0),)
-    if any(v > 0 for v in noise_std):
-        if "noise" not in seeds:
-            raise ConfigError("$.seeds.noise: required when noise_std > 0")
-        noise_seed = _as_int(seeds["noise"], "$.seeds.noise")
-    else:
-        noise_seed = _as_int(seeds.get("noise", 0), "$.seeds.noise")
-
-    allowed = tuple(_ESTIMATORS[scenario])
-    estimators = doc.get("estimators", [name for name in allowed
-                                        if _ESTIMATORS[scenario][name].default])
-    if not isinstance(estimators, list) or not estimators:
-        raise ConfigError("$.estimators: expected a non-empty list")
-    for i, name in enumerate(estimators):
-        if name not in allowed:
-            raise ConfigError(
-                f"$.estimators: {name!r} not valid for {scenario} (use {allowed})")
-        if name in estimators[:i]:
-            raise ConfigError(f"$.estimators[{i}]: {name!r} is listed twice")
-    if scenario == "mimo_full_vs_equivalent" and len(estimators) > 1:
-        raise ConfigError("$.estimators[1]: the MIMO study runs one estimator")
-
-    lpm = doc.get("lpm", {})
-    if not isinstance(lpm, dict):
-        raise ConfigError("$.lpm: expected an object")
-    _reject_unknown(lpm, _LPM_KEYS, "$.lpm")
-    lpm_poly_order = _as_int(lpm.get("poly_order", 2), "$.lpm.poly_order", minimum=0)
-    lpm_half_width = lpm.get("half_width")
-    if lpm_half_width is not None:
-        lpm_half_width = _as_int(lpm_half_width, "$.lpm.half_width", minimum=1)
-    lpm_dof_margin = lpm.get("dof_margin")
-    if lpm_dof_margin is not None:
-        lpm_dof_margin = _as_int(lpm_dof_margin, "$.lpm.dof_margin", minimum=1)
-
-    band = doc.get("band_hz", [0.4, 0.8 * fs_hz / 2.0])
-    if (not isinstance(band, list)) or len(band) != 2:
-        raise ConfigError("$.band_hz: expected [low_hz, high_hz]")
-    band_hz = (_as_number(band[0], "$.band_hz[0]", minimum=0.0),
-               _as_number(band[1], "$.band_hz[1]", minimum=0.0, strict_min=True))
-    if band_hz[1] <= band_hz[0]:
-        raise ConfigError("$.band_hz: high edge must exceed low edge")
-
-    excited_channel = _as_int(doc.get("excited_channel", 1), "$.excited_channel",
-                              minimum=1)
-
-    controller = doc.get("controller", {})
-    if not isinstance(controller, dict):
-        raise ConfigError("$.controller: expected an object")
-    _reject_unknown(controller, _CONTROLLER_KEYS, "$.controller")
-    gain = _as_number(controller.get("gain", 50.0), "$.controller.gain")
-    zero = _as_number(controller.get("zero", 0.9), "$.controller.zero")
-    pole = _as_number(controller.get("pole", 0.5), "$.controller.pole")
-
-    steady = doc.get("steady_state_start", defaults.get("steady_state_start", False))
-    if not isinstance(steady, bool):
-        raise ConfigError("$.steady_state_start: expected true or false")
-
-    max_defects = _as_number(doc.get("max_defect_fraction", 0.25),
-                             "$.max_defect_fraction", minimum=0.0)
-
-    output_dir = doc.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigError("$.output_dir: expected a string")
-
-    cfg = ScenarioConfig(
-        scenario=scenario, plant_source=plant_source, fs_hz=fs_hz,
-        period_seconds=period_seconds, excited_bins=excited_bins, rms=rms,
-        n_periods_total=n_total, n_periods_used=n_used, noise_std=noise_std,
-        estimators=tuple(estimators), lpm_poly_order=lpm_poly_order,
-        lpm_half_width=lpm_half_width, lpm_dof_margin=lpm_dof_margin,
-        phase_seed=phase_seed, noise_seed=noise_seed, band_hz=band_hz,
-        excited_channel=excited_channel, controller_gain=gain,
-        controller_zero=zero, controller_pole=pole, steady_state_start=steady,
-        max_defect_fraction=max_defects, output_dir=output_dir,
-    )
+    values = {}
+    for f in _FIELDS:
+        raw, absent = _lookup(doc, f.path)
+        default = f.default(values) if callable(f.default) else f.default
+        if isinstance(default, dict):
+            scenario = values["scenario"]
+            default = default.get(scenario, _Required(f"for a {scenario} scenario"))
+        if absent:
+            if isinstance(default, _Required):
+                raise ConfigError(f"{absent}: required {default}")
+            raw = default
+        values[f.attr] = None if raw is None and default is None \
+            else _KINDS[f.kind](raw, f"$.{f.path}", f.bound, values)
+    cfg = ScenarioConfig(**values)
     _check_geometry(cfg)
     return cfg
 
@@ -485,7 +481,10 @@ def _load_plant(cfg: ScenarioConfig) -> StateSpaceModel:
     if cfg.plant_source == "builtin":
         model = benchmark_plant()
     else:
-        model = read_statespace_json(cfg.plant_source)
+        try:
+            model = read_statespace_json(cfg.plant_source)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"$.plant.path: {exc}") from None
     if model.is_continuous:
         return discretize_zoh(model, cfg.ts)
     if abs(model.ts - cfg.ts) > 1e-12 * cfg.ts:

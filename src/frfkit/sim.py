@@ -107,6 +107,8 @@ class StateSpaceModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "StateSpaceModel":
+        if not isinstance(doc, dict):
+            raise ValueError("state-space JSON must be an object")
         missing = {"A", "B", "C", "D"} - set(doc)
         if missing:
             raise ValueError(f"state-space JSON is missing {sorted(missing)}")

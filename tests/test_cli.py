@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,8 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frfkit.cli import (
+    _ESTIMATORS,
+    _FIELDS,
     ConfigError,
     export_report,
     main,
@@ -45,6 +51,32 @@ FAST_MIMO = {
     "multisine": {"period_seconds": 0.5},
     "seeds": {"phase": 5},
 }
+
+FAST_CUSTOM = {
+    "scenario": "custom",
+    "fs_hz": 500.0,
+    "multisine": {"period_seconds": 1.0, "rms": 0.5},
+    "n_periods_total": 2,
+    "noise_std": 0.0,
+    "estimators": ["sa_rect", "lpm"],
+    "seeds": {"phase": 11},
+}
+
+LEFT_OUT = object()  # a field value that removes the field from the config
+
+
+def with_value(doc, path, value):
+    """A copy of ``doc`` with ``value`` at the dotted ``path``."""
+    doc = copy.deepcopy(doc)
+    *sections, key = path.split(".")
+    node = doc
+    for name in sections:
+        node = node.setdefault(name, {})
+    if value is LEFT_OUT:
+        node.pop(key, None)
+    else:
+        node[key] = value
+    return doc
 
 
 class TestParseConfig:
@@ -117,6 +149,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="JSON"):
             parse_config(path)
 
+    @pytest.mark.parametrize("text", [b"\xff\xfe{}", b'{"fs_hz": 1' + b"0" * 5000 + b"}"],
+                             ids=["not_utf8", "int_over_digit_limit"])
+    def test_undecodable_file(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_bytes(text)
+        with pytest.raises(ConfigError, match="JSON"):
+            parse_config(path)
+
     def test_period_shorter_than_four_samples(self, tmp_path):
         for seconds in (0.002, 0.0005):
             doc = {**MINIMAL_TRANSIENT, "multisine": {"period_seconds": seconds}}
@@ -174,8 +214,100 @@ class TestParseConfig:
         assert main(["run", str(write_config(tmp_path, doc))]) == 2
         assert "$.band_hz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path,value", [
+        ("fs_hz", math.inf),
+        ("multisine.period_seconds", math.inf),
+        ("multisine.rms", math.inf),
+        ("controller.gain", math.nan),
+        ("controller.zero", math.inf),
+        ("controller.pole", -math.inf),
+        ("noise_std", math.inf),
+        ("noise_std", [1e-4, math.nan]),
+        ("band_hz", [math.nan, 100.0]),
+        ("band_hz", [0.4, math.inf]),
+        ("multisine.excited_bins.min_hz", math.nan),
+        ("multisine.excited_bins.max_hz", math.inf),
+        pytest.param("fs_hz", 10**400, id="fs_hz-int_beyond_float"),
+    ])
+    def test_non_finite_number_rejected_by_path(self, tmp_path, capsys, path, value):
+        # json writes NaN and Infinity, and json reads them back
+        doc = with_value({**FAST_TRANSIENT, "output_dir": str(tmp_path / "out")},
+                         path, value)
+        config = write_config(tmp_path, doc)
+        with pytest.raises(ConfigError, match=rf"\$\.{path}"):
+            parse_config(config)
+        assert main(["run", str(config)]) == 2
+        assert f"$.{path}" in capsys.readouterr().err
+
+
+class TestConfigSchema:
+    """The one table of config fields: the validator built on it, and the
+    README's copy of it."""
+
+    @staticmethod
+    def candidates(field, base) -> list:
+        """Values to try at ``field.path``, from the row's kind and bound:
+        left out, on, just inside and just outside each bound, non-finite
+        and of a wrong type. A bound that names an attribute reads it from
+        ``base``, the parsed config being mutated."""
+        def near(limit):
+            if field.kind == "int":
+                return [limit, limit + 1, limit - 1]
+            return [limit, math.nextafter(limit, math.inf), math.nextafter(limit, -math.inf)]
+
+        edges = near(0.0) + [math.nan, math.inf]
+        out = [LEFT_OUT, math.nan, math.inf, -math.inf]
+        out += [1] if field.kind in ("str", "plant") else [True, "x"]
+        if field.kind in ("number", "int", "number-or-list"):
+            rules = (field.bound,) if isinstance(field.bound, str) else field.bound or ()
+            for rule in rules:
+                limit = rule.split()[1]
+                out += near(getattr(base, limit) if hasattr(base, limit) else float(limit))
+            if field.kind == "number-or-list":
+                out += [[value] for value in out[1:]]
+        elif field.kind == "choice":
+            out += list(field.bound)
+        elif field.kind == "band":
+            lo, hi = base.band_hz
+            out += [[x, hi] for x in edges] + [[lo, x] for x in edges + [lo]]
+        elif field.kind == "excitation":
+            out += ["full", [1], [0], [1, 1]] + [{"min_hz": x} for x in edges] \
+                + [{"max_hz": x} for x in edges]
+        elif field.kind == "estimators":
+            names = sorted({name for table in _ESTIMATORS.values() for name in table})
+            out += [[], ["lpm", "lpm"], ["sa_rect", "lpm"]] + [[name] for name in names]
+        elif field.kind == "bool":
+            out += [False]
+        else:
+            out += ["x", ""]
+        return out
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_one_mutated_field_parses_or_names_a_path(self, tmp_path_factory, data):
+        base = data.draw(st.sampled_from([FAST_TRANSIENT, FAST_BIAS, FAST_MIMO, FAST_CUSTOM]))
+        field = data.draw(st.sampled_from(_FIELDS))
+        workdir = tmp_path_factory.mktemp("schema")
+        parsed = parse_config(write_config(workdir, base))
+        value = data.draw(st.sampled_from(self.candidates(field, parsed)))
+        try:
+            cfg = parse_config(write_config(workdir, with_value(base, field.path, value)))
+        except ConfigError as exc:
+            assert "$." in str(exc)
+        else:
+            json.dumps(cfg.echo(), allow_nan=False)
+
+    def test_readme_lists_every_field_with_its_kind(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        rows = [line.split("|") for line in readme.read_text(encoding="utf-8").splitlines()
+                if line.startswith("| `")]
+        kinds = {cells[1].strip(): cells[2].strip() for cells in rows}
+        for field in _FIELDS:
+            assert kinds.get(f"`{field.path}`") == field.kind, field.path
+
 
 class TestRunScenario:
+
     def test_transient_study_report(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, FAST_TRANSIENT))
         report = run_scenario(cfg)
@@ -502,6 +634,26 @@ class TestPlantFromJson:
         doc = {**MINIMAL_TRANSIENT, "plant": {"source": "matlab"}}
         with pytest.raises(ConfigError, match="source"):
             parse_config(write_config(tmp_path, doc))
+
+    @pytest.mark.parametrize("content", [None, "{not json", "5", '{"A": [[0.5]]}'],
+                             ids=["missing_file", "invalid_json", "not_an_object",
+                                  "missing_matrices"])
+    def test_unreadable_plant_file_exits_2(self, tmp_path, capsys, content):
+        model_path = tmp_path / "plant.json"
+        if content is not None:
+            model_path.write_text(content, encoding="utf-8")
+        doc = {**FAST_TRANSIENT, "plant": {"source": "json", "path": str(model_path)},
+               "output_dir": str(tmp_path / "out")}
+        assert main(["run", str(write_config(tmp_path, doc))]) == 2
+        assert "$.plant.path" in capsys.readouterr().err
+
+    def test_plant_path_must_be_a_string(self, tmp_path, capsys):
+        doc = {**FAST_TRANSIENT, "plant": {"source": "json", "path": 5},
+               "output_dir": str(tmp_path / "out")}
+        with pytest.raises(ConfigError, match=r"\$\.plant\.path"):
+            parse_config(write_config(tmp_path, doc))
+        assert main(["run", str(write_config(tmp_path, doc))]) == 2
+        assert "$.plant.path" in capsys.readouterr().err
 
 
 if __name__ == "__main__":

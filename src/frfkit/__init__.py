@@ -28,7 +28,6 @@ from .estimators import (
     PowerSpectra,
     average_then_divide,
     etfe,
-    lpm_edge_policy,
     lpm_fit,
     noise_covariance,
     power_spectra,
@@ -61,7 +60,6 @@ from .signals import (
     bin_frequencies,
     dft,
     generate_multisine,
-    idft,
     read_timeseries_csv,
     spectrum_set,
     write_timeseries_csv,

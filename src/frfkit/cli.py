@@ -53,6 +53,7 @@ from .sim import (
     StateSpaceModel,
     UnstableLoopError,
     benchmark_plant,
+    closed_loop_steady_state,
     discretize_zoh,
     read_statespace_json,
     simulate_closed_loop,
@@ -68,6 +69,7 @@ from .signals import (
 )
 
 TWO_PI = 2.0 * math.pi
+MAX_RECORD_SAMPLES = 1e7  # simulated samples per experiment, fs_hz * period * periods
 
 
 def _sensitivity(dataset, method, window_length, window, lpm_config):
@@ -227,6 +229,8 @@ def _number(value, path: str, bound=None, values=()) -> float:
 def _int(value, path: str, bound=None, values=()) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # the record-size check multiplies floats
+        raise ConfigError(f"{path}: expected an integer within float range")
     return _within(value, path, bound, values)
 
 
@@ -336,9 +340,9 @@ _FIELDS = (
     _Field("estimators", "estimators", "estimators", None,
            {s: [n for n, e in _ESTIMATORS[s].items() if e.default]
             for s in SCENARIOS if s != "custom"}),
-    _Field("seeds.phase", "phase_seed", "int", None,
+    _Field("seeds.phase", "phase_seed", "int", ">= 0",
            _Required("(runs must be explicitly seeded)")),
-    _Field("seeds.noise", "noise_seed", "int", None,
+    _Field("seeds.noise", "noise_seed", "int", ">= 0",
            lambda v: _Required("when noise_std > 0") if any(s > 0 for s in v["noise_std"])
            else 0),
     _Field("plant.source", "plant_source", "choice", ("builtin", "json"), "builtin"),
@@ -428,6 +432,11 @@ def parse_config(path) -> ScenarioConfig:
 def _check_geometry(cfg: ScenarioConfig) -> None:
     """Reject a period, excitation, statistics band or LPM window that no run
     could use."""
+    samples = cfg.fs_hz * cfg.period_seconds * cfg.n_periods_total
+    if not samples <= MAX_RECORD_SAMPLES:
+        raise ConfigError(f"$.multisine.period_seconds: a record of {samples:g} samples "
+                          f"exceeds {MAX_RECORD_SAMPLES:g} (fs_hz * period_seconds * "
+                          "n_periods_total)")
     n = cfg.period_samples
     if n < 4:
         raise ConfigError(f"$.multisine.period_seconds: a period of {n} samples "
@@ -587,7 +596,8 @@ def _run_single_experiment(cfg: ScenarioConfig) -> ScenarioReport:
     The transient study estimates the sensitivity of the excited loop of
     the square plant; the bias study cuts that loop out as a SISO plant
     and estimates the plant, next to the large-M limit of the direct
-    method.
+    method. With ``steady_state_start`` the loop starts in the periodic
+    steady state of the noise-free response to one period.
     """
     bias = cfg.scenario == "closed_loop_siso_bias"
     plant = _load_plant(cfg)
@@ -603,14 +613,18 @@ def _run_single_experiment(cfg: ScenarioConfig) -> ScenarioReport:
     ctrl = ControllerConfig.lead(plant.n_inputs, cfg.ts, cfg.controller_gain,
                                  cfg.controller_zero, cfg.controller_pole)
     spec = _build_spec(cfg)
+    period = cfg.period_samples
     d = np.zeros((plant.n_inputs, spec.total_samples))
     d[j] = generate_multisine(spec, cfg.ts).data[0]
     noise = _noise_std(cfg, plant.n_outputs)
+    xp0 = xc0 = None
+    if cfg.steady_state_start:
+        xp0, xc0 = closed_loop_steady_state(plant, ctrl, TimeSeries(d[:, :period], cfg.ts))
     record = simulate_closed_loop(plant, ctrl, TimeSeries(d, cfg.ts), noise_std=noise,
-                                  noise_seed=cfg.noise_seed)
-    dataset = ClosedLoopDataset.from_record(record, j, ctrl)
+                                  noise_seed=cfg.noise_seed, x_plant0=xp0, x_ctrl0=xc0)
+    dataset = ClosedLoopDataset.from_record(record, j)
     if cfg.n_periods_used < cfg.n_periods_total:
-        dataset = dataset.tail_periods(cfg.period_samples, cfg.n_periods_used)
+        dataset = dataset.tail_periods(period, cfg.n_periods_used)
 
     oracle = (lambda w: true_frf(plant, w).g[:, 0, 0]) if bias \
         else (lambda w: true_sensitivity(plant, ctrl, w)[:, j, j])
@@ -622,7 +636,6 @@ def _run_single_experiment(cfg: ScenarioConfig) -> ScenarioReport:
             grids[n_samples] = w, oracle(w)
         return grids[n_samples]
 
-    period = cfg.period_samples
     exc = np.asarray(spec.excited_bins)
     estimates, curves, stats, defects = {}, [], {}, []
     for name in cfg.estimators:
@@ -794,6 +807,10 @@ def export_report(report: ScenarioReport, out_dir) -> list:
 
 
 def _cmd_run(args) -> int:
+    if args.seed_override is not None and args.seed_override < 0:
+        print(f"error: --seed-override: must be >= 0, got {args.seed_override}",
+              file=sys.stderr)
+        return 2
     try:
         cfg = parse_config(args.config)
         if args.seed_override is not None:

@@ -15,10 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimators import (
+    PLANT_COND_LIMIT,
     BinDefect,
     FrfEstimate,
     LpmConfig,
-    _conditioning,
+    _inverse,
     lpm_fit,
     power_spectra,
     spectral_analysis,
@@ -32,7 +33,7 @@ from .sim import (
 )
 from .signals import MultisineSpec, TimeSeries, WindowFunction, generate_multisine, spectrum_set
 
-S_FLOOR_REL = 1e-12  # |S| floor relative to its peak before dividing
+S_FLOOR_REL = 1e-12  # |S| floor relative to its median before dividing
 
 
 @dataclass
@@ -48,7 +49,6 @@ class ClosedLoopDataset:
     u: TimeSeries
     y: TimeSeries
     excited_input_index: int = 0
-    controller: ControllerConfig = None
 
     def __post_init__(self):
         n, ts = self.d.n_samples, self.d.ts
@@ -60,9 +60,8 @@ class ClosedLoopDataset:
             raise ValueError("excited_input_index out of range")
 
     @classmethod
-    def from_record(cls, record, excited_input_index: int = 0,
-                    controller: ControllerConfig = None) -> "ClosedLoopDataset":
-        return cls(record.d, record.u, record.y, excited_input_index, controller)
+    def from_record(cls, record, excited_input_index: int = 0) -> "ClosedLoopDataset":
+        return cls(record.d, record.u, record.y, excited_input_index)
 
     def tail_periods(self, period_samples: int, n_periods: int) -> "ClosedLoopDataset":
         """Keep only the last ``n_periods`` periods of every signal."""
@@ -72,7 +71,7 @@ class ClosedLoopDataset:
         sl = slice(self.d.n_samples - keep, None)
         trim = lambda s: TimeSeries(s.data[:, sl].copy(), s.ts, s.channel_names)
         return ClosedLoopDataset(trim(self.d), trim(self.u), trim(self.y),
-                                 self.excited_input_index, self.controller)
+                                 self.excited_input_index)
 
 
 @dataclass
@@ -97,8 +96,7 @@ class FrmPair:
 
 
 def direct_estimate(dataset: ClosedLoopDataset, window_length: int,
-                    window: WindowFunction = None, input_channel: int = None,
-                    output_channel: int = None) -> FrfEstimate:
+                    window: WindowFunction = None) -> FrfEstimate:
     """Spectral analysis of (u, y) measured inside the loop.
 
     Biased in closed loop: output noise feeds back into ``u``, pulling
@@ -107,9 +105,8 @@ def direct_estimate(dataset: ClosedLoopDataset, window_length: int,
     :func:`direct_bias_asymptote`). Kept as the textbook baseline; use
     :func:`indirect_estimate` for an unbiased result.
     """
-    iu = dataset.excited_input_index if input_channel is None else input_channel
-    iy = dataset.excited_input_index if output_channel is None else output_channel
-    both = TimeSeries(np.vstack([dataset.u.data[iu:iu + 1], dataset.y.data[iy:iy + 1]]),
+    j = dataset.excited_input_index
+    both = TimeSeries(np.vstack([dataset.u.data[j:j + 1], dataset.y.data[j:j + 1]]),
                       dataset.u.ts, ("u", "y"))
     spectra = spectrum_set(both, window_length, window=window)
     est = spectral_analysis(power_spectra(spectra, [0], [1]))
@@ -174,8 +171,7 @@ def sensitivity_pair(dataset: ClosedLoopDataset, estimator: str = "sa",
 
 def indirect_estimate(dataset: ClosedLoopDataset, estimator: str = "sa",
                       window_length: int = None, window: WindowFunction = None,
-                      lpm_config: LpmConfig = None, input_channel: int = None,
-                      output_channel: int = None, floor: float = None) -> FrfEstimate:
+                      lpm_config: LpmConfig = None) -> FrfEstimate:
     """Unbiased SISO plant estimate from the excitation signal.
 
     Estimates the process sensitivity (d -> y) and sensitivity (d -> u)
@@ -184,18 +180,14 @@ def indirect_estimate(dataset: ClosedLoopDataset, estimator: str = "sa",
     noise; with the loop open (K = 0, u = d) it reduces to the plain
     spectral-analysis estimate of (u, y).
     """
-    iu = dataset.excited_input_index if input_channel is None else input_channel
-    iy = dataset.excited_input_index if output_channel is None else output_channel
+    j = dataset.excited_input_index
     gs, s = sensitivity_pair(dataset, estimator, window_length, window,
-                             lpm_config, u_channels=[iu], y_channels=[iy])
+                             lpm_config, u_channels=[j], y_channels=[j])
     s_vals = s.g[:, 0, 0]
-    if floor is not None:
-        floor_abs = float(floor)
-    else:
-        # scale off the median: unlike the peak it is immune to the huge
-        # garbage ratios produced at unexcited bins
-        finite = np.abs(s_vals[np.isfinite(s_vals)])
-        floor_abs = S_FLOOR_REL * (float(np.median(finite)) if finite.size else 0.0)
+    # scale off the median: unlike the peak it is immune to the huge
+    # garbage ratios produced at unexcited bins
+    finite = np.abs(s_vals[np.isfinite(s_vals)])
+    floor_abs = S_FLOOR_REL * (float(np.median(finite)) if finite.size else 0.0)
     ok = np.abs(s_vals) > floor_abs
     g = np.full_like(s_vals, np.nan + 0j)
     g[ok] = gs.g[ok, 0, 0] / s_vals[ok]
@@ -221,7 +213,6 @@ def indirect_estimate(dataset: ClosedLoopDataset, estimator: str = "sa",
 def run_mimo_experiments(plant: StateSpaceModel, ctrl: ControllerConfig,
                          spec: MultisineSpec, noise_std=0.0, phase_seeds=None,
                          noise_seeds=None, estimator: str = "sa",
-                         window: WindowFunction = None,
                          lpm_config: LpmConfig = None,
                          n_periods_used: int = None,
                          start_at_steady_state: bool = False) -> FrmPair:
@@ -273,13 +264,12 @@ def run_mimo_experiments(plant: StateSpaceModel, ctrl: ControllerConfig,
         record = simulate_closed_loop(plant, ctrl, d, noise_std=noise_std,
                                       noise_seed=noise_seeds[j],
                                       x_plant0=xp0, x_ctrl0=xc0)
-        dataset = ClosedLoopDataset.from_record(record, excited_input_index=j,
-                                                controller=ctrl)
+        dataset = ClosedLoopDataset.from_record(record, excited_input_index=j)
         if used < spec.n_periods:
             dataset = dataset.tail_periods(period, used)
         win_len = period if estimator == "sa" else None
         gs_j, s_j = sensitivity_pair(dataset, estimator, window_length=win_len,
-                                     window=window, lpm_config=lpm_config)
+                                     lpm_config=lpm_config)
         gs_cols.append(gs_j.g[:, :, 0])
         s_cols.append(s_j.g[:, :, 0])
         gs_var.append(None if gs_j.variance is None else gs_j.variance[:, :, 0])
@@ -302,30 +292,27 @@ def run_mimo_experiments(plant: StateSpaceModel, ctrl: ControllerConfig,
                    assemble(s_cols, s_var, defects_s, "sensitivity"))
 
 
-def full_plant(frm: FrmPair, cond_limit: float = 1e8) -> FrfEstimate:
+def full_plant(frm: FrmPair) -> FrfEstimate:
     """Multivariable plant via the per-bin matrix inverse ``GS S^{-1}``.
 
-    Bins where the sensitivity matrix is singular or has condition
-    number above ``cond_limit`` become NaN defects; the condition number
-    is recorded per bin either way.
+    Bins where the sensitivity matrix is not finite, singular or has a
+    1-norm condition number above ``PLANT_COND_LIMIT`` become NaN
+    defects; the condition number is recorded per bin either way.
     """
-    n_bins = frm.s.n_bins
-    n_y, n_u = frm.gs.n_outputs, frm.gs.n_inputs
-    g = np.full((n_bins, n_y, n_u), np.nan + 0j)
-    cond, invertible = _conditioning(frm.s.g)
-    ok = invertible & (cond <= cond_limit)
+    s_inv, cond, invertible = _inverse(frm.s.g)
+    ok = invertible & (cond <= PLANT_COND_LIMIT)
     defects = [BinDefect(int(k), "sensitivity_not_finite") if np.isnan(cond[k])
                else BinDefect(int(k), "sensitivity_ill_conditioned", float(cond[k]))
                for k in np.flatnonzero(~ok)]
-    s_inv = np.linalg.inv(frm.s.g[ok])
-    g[ok] = frm.gs.g[ok] @ s_inv
+    g = frm.gs.g @ s_inv
+    g[~ok] = np.nan
     have_var = frm.gs.variance is not None and frm.s.variance is not None
     variance = None
     if have_var:
-        # first-order propagation through dG = dGS S^-1 - G dS S^-1
+        # first-order propagation through dG = dGS S^-1 - G dS S^-1; NaN
+        # wherever G is
         w = np.abs(s_inv) ** 2
-        variance = np.full((n_bins, n_y, n_u), np.nan)
-        variance[ok] = frm.gs.variance[ok] @ w + np.abs(g[ok]) ** 2 @ frm.s.variance[ok] @ w
+        variance = frm.gs.variance @ w + np.abs(g) ** 2 @ frm.s.variance @ w
     tag = {"estimator": "full_plant_matrix_inverse",
            "source": frm.gs.estimator_tag.get("estimator"),
            "variance_approximate": have_var}

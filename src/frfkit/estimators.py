@@ -23,6 +23,8 @@ TWO_PI = 2.0 * math.pi
 
 ETFE_FLOOR_REL = 1e-12  # default |U| floor relative to the spectrum peak
 LPM_CHUNK = 2048        # bins per stacked local fit; bounds the regressor's memory
+SA_COND_LIMIT = 1e12    # largest condition number of phi_uu that SA inverts
+PLANT_COND_LIMIT = 1e8  # largest condition number of S that full_plant inverts
 
 
 @dataclass
@@ -41,7 +43,11 @@ class FrfEstimate:
     Fields
     ------
     g : ndarray, shape (n_bins, n_y, n_u), complex
-        FRF matrix per bin; NaN exactly at bins listed in ``defects``.
+        FRF matrix per bin; NaN where the estimator gave no value, which
+        ``defects`` lists unless the caller left the bin out (``lpm_fit``'s
+        ``bins``). A listed bin may still hold a finite value: ETFE's
+        ``input_floored_windows_excluded`` flags an average over fewer
+        windows.
     bin_frequencies : ndarray, rad/s, strictly increasing
     variance : ndarray or None
         Per-entry variance (same shape as ``g``), nonnegative where
@@ -52,7 +58,8 @@ class FrfEstimate:
         Provenance metadata (estimator name, settings, caveats).
     defects : list of BinDefect
     condition : ndarray or None
-        Per-bin condition number of an inverted matrix, when relevant.
+        Per-bin 1-norm condition number of an inverted matrix, when
+        relevant.
     """
 
     g: np.ndarray
@@ -231,24 +238,40 @@ def power_spectra(spectra: SpectrumSet, input_channels=(0,), output_channels=(1,
     return PowerSpectra(phi_yu, phi_uu, phi_yy, m, spectra.bin_frequencies)
 
 
-def _conditioning(mats: np.ndarray):
-    """2-norm condition number of each stacked square matrix, and the mask
-    of the matrices that can be inverted.
+def _inverse(mats: np.ndarray):
+    """Inverse, 1-norm condition number and invertibility mask of each
+    stacked square matrix.
 
-    The condition number is NaN where a matrix holds a non-finite entry
-    and inf where it is exactly singular. A matrix can be inverted when
-    its condition number is below ``1/eps``, that is, when it is not
-    singular to working precision.
+    A matrix is inverted when its entries are finite and it is not exactly
+    singular; ``slogdet``'s sign is 0 exactly where ``inv`` would raise.
+    Masked matrices are replaced by the identity (in a copy made only when
+    there are any), so that one ``inv`` call covers the stack, and their
+    inverse is then set to NaN. The condition number is
+    ``|M|_1 |M^-1|_1``: NaN for a non-finite matrix, inf for a singular one.
     """
-    cond = np.full(mats.shape[0], np.nan)
+    eye = np.eye(mats.shape[-1])
     finite = np.isfinite(mats).all(axis=(1, 2))
-    cond[finite] = np.linalg.cond(mats[finite])
-    return cond, cond < 1.0 / np.finfo(float).eps
+    if not finite.all():
+        mats = np.where(finite[:, np.newaxis, np.newaxis], mats, eye)
+    mask = finite & (np.linalg.slogdet(mats)[0] != 0)
+    if not mask.all():
+        mats = np.where(mask[:, np.newaxis, np.newaxis], mats, eye)
+    inverse = np.linalg.inv(mats)
+    inverse[~mask] = np.nan
+    cond = np.linalg.norm(mats, 1, axis=(1, 2)) * np.linalg.norm(inverse, 1, axis=(1, 2))
+    cond[finite & ~mask] = np.inf
+    return inverse, cond, mask
 
 
 def _hermitian(mats: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each stacked matrix."""
     return np.conj(mats).swapaxes(-1, -2)
+
+
+def _residual_covariance(ps: PowerSpectra, g: np.ndarray) -> np.ndarray:
+    """``M/(M - n_u) * (phi_yy - G phi_yu^H)`` with ``G = phi_yu phi_uu^{-1}``."""
+    m = ps.m_windows
+    return m / (m - ps.n_inputs) * (ps.phi_yy - g @ _hermitian(ps.phi_yu))
 
 
 def noise_covariance(ps: PowerSpectra) -> np.ndarray:
@@ -262,13 +285,7 @@ def noise_covariance(ps: PowerSpectra) -> np.ndarray:
     m, n_u = ps.m_windows, ps.n_inputs
     if m <= n_u:
         raise ValueError(f"need more windows than inputs (M={m}, n_u={n_u})")
-    n_bins = ps.phi_uu.shape[0]
-    cv = np.full((n_bins, ps.n_outputs, ps.n_outputs), np.nan + 0j)
-    ok = _conditioning(ps.phi_uu)[1]
-    phi_yu = ps.phi_yu[ok]
-    sol = np.linalg.solve(ps.phi_uu[ok].swapaxes(1, 2), phi_yu.swapaxes(1, 2))
-    cv[ok] = m / (m - n_u) * (ps.phi_yy[ok] - sol.swapaxes(1, 2) @ _hermitian(phi_yu))
-    return cv
+    return _residual_covariance(ps, ps.phi_yu @ _inverse(ps.phi_uu)[0])
 
 
 def _input_defect(k: int, cond: float) -> BinDefect:
@@ -279,32 +296,29 @@ def _input_defect(k: int, cond: float) -> BinDefect:
     return BinDefect(k, "ill_conditioned_input_spectrum", cond)
 
 
-def spectral_analysis(ps: PowerSpectra, cond_limit: float = 1e12) -> FrfEstimate:
+def spectral_analysis(ps: PowerSpectra) -> FrfEstimate:
     """Spectral-analysis FRF ``G(k) = phi_yu(k) phi_uu(k)^{-1}`` per bin.
 
     All bins are solved as one stack. When M > n_u the per-entry variance
     is attached as ``var(G_ij) = (1/M) * [phi_uu^{-1}]_jj * [C_v]_ii``
-    with the noise covariance from :func:`noise_covariance`; otherwise
+    with the noise covariance of :func:`noise_covariance`; otherwise
     variance is flagged absent (None). Bins whose ``phi_uu`` is not
-    finite, exactly singular (detail 0) or has a condition number above
-    ``cond_limit`` (detail: the condition number) become NaN defects.
+    finite, exactly singular (detail 0) or has a 1-norm condition number
+    above ``SA_COND_LIMIT`` (detail: the condition number) become NaN
+    defects.
     """
-    n_bins = ps.phi_uu.shape[0]
-    n_y, n_u = ps.n_outputs, ps.n_inputs
-    g = np.full((n_bins, n_y, n_u), np.nan + 0j)
-    inv_diag = np.full((n_bins, n_u), np.nan)
-    cond, invertible = _conditioning(ps.phi_uu)
-    ok = invertible & (cond <= cond_limit)
-    inv_uu = np.linalg.inv(ps.phi_uu[ok])
-    g[ok] = ps.phi_yu[ok] @ inv_uu
-    inv_diag[ok] = np.real(np.diagonal(inv_uu, axis1=1, axis2=2))
+    inv_uu, cond, invertible = _inverse(ps.phi_uu)
+    ok = invertible & (cond <= SA_COND_LIMIT)
+    g = ps.phi_yu @ inv_uu
+    g[~ok] = np.nan
+    inv_diag = np.where(ok[:, np.newaxis],
+                        np.real(np.diagonal(inv_uu, axis1=1, axis2=2)), np.nan)
     defects = [_input_defect(int(k), float(cond[k])) for k in np.flatnonzero(~ok)]
 
     variance = None
     m = ps.m_windows
-    if m > n_u:
-        cv = noise_covariance(ps)
-        cv_diag = np.real(np.einsum("kii->ki", cv))
+    if m > ps.n_inputs:
+        cv_diag = np.real(np.einsum("kii->ki", _residual_covariance(ps, g)))
         variance = np.maximum(
             inv_diag[:, np.newaxis, :] * cv_diag[:, :, np.newaxis] / m, 0.0)
         variance[~np.isfinite(variance)] = np.nan
@@ -372,21 +386,6 @@ class LocalModelTheta:
     theta_t: np.ndarray  # (poly_order+1, n_y)
 
 
-def lpm_edge_policy(k: int, n_bins: int, cfg: LpmConfig) -> range:
-    """Index window of ``2*half_width + 1`` bins kept inside the spectrum.
-
-    Centered on ``k`` where possible; shifted (asymmetric offsets) at the
-    spectrum edges. The local model is still evaluated at bin ``k``.
-    """
-    width = 2 * cfg.half_width + 1
-    if n_bins < width:
-        raise ValueError(f"spectrum has {n_bins} bins, need at least {width}")
-    if not 0 <= k < n_bins:
-        raise ValueError(f"bin {k} out of range")
-    lo = min(max(k - cfg.half_width, 0), n_bins - width)
-    return range(lo, lo + width)
-
-
 def _lpm_fit_bins(bins, u, y, cfg, n_bins, g, transient, variance,
                   local_models, defects):
     """Fit the local model at the requested bins (fills output arrays).
@@ -409,7 +408,8 @@ def _lpm_fit_bins(bins, u, y, cfg, n_bins, g, transient, variance,
     powers = np.arange(order + 1)[:, np.newaxis]
     for start in range(0, len(bins), LPM_CHUNK):
         k = bins[start:start + LPM_CHUNK]
-        lo = np.clip(k - n_w, 0, n_bins - width)  # lpm_edge_policy for every bin
+        # windows centered on k, shifted inward at the spectrum edges
+        lo = np.clip(k - n_w, 0, n_bins - width)
         window = lo[:, np.newaxis] + np.arange(width)
         # offsets normalized to the half-width for conditioning; the
         # zeroth-order coefficients are invariant under this rescaling

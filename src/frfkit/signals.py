@@ -66,14 +66,6 @@ class TimeSeries:
     def n_samples(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def fs(self) -> float:
-        return 1.0 / self.ts
-
-    @property
-    def duration(self) -> float:
-        return self.n_samples * self.ts
-
     def time(self) -> np.ndarray:
         """Sample instants in seconds, starting at 0."""
         return np.arange(self.n_samples) * self.ts
@@ -106,23 +98,6 @@ def dft(x) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("samples must be finite")
     return np.fft.fft(x) / math.sqrt(x.size)
-
-
-def idft(spectrum, symmetry_tol: float = 1e-8) -> np.ndarray:
-    """Inverse of :func:`dft` for conjugate-symmetric spectra.
-
-    Raises ``ValueError`` when the spectrum is not conjugate-symmetric
-    (relative to its peak magnitude), since a real signal is requested.
-    """
-    spec = np.asarray(spectrum, dtype=complex)
-    if spec.ndim != 1 or spec.size < 1:
-        raise ValueError("expected a non-empty 1-D spectrum")
-    n = spec.size
-    mirrored = np.conj(spec[(-np.arange(n)) % n])
-    scale = np.max(np.abs(spec))
-    if scale > 0 and np.max(np.abs(spec - mirrored)) > symmetry_tol * scale:
-        raise ValueError("spectrum is not conjugate-symmetric; cannot produce a real signal")
-    return np.real(np.fft.ifft(spec)) * math.sqrt(n)
 
 
 def bin_frequencies(n_samples: int, ts: float) -> np.ndarray:

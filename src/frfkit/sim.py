@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import BinDefect, FrfEstimate, _conditioning
+from .estimators import BinDefect, FrfEstimate, _inverse
 from .signals import TimeSeries, bin_frequencies
 
 TWO_PI = 2.0 * math.pi
@@ -563,7 +563,8 @@ def true_frf(m: StateSpaceModel, bin_freqs) -> FrfEstimate:
 
     ``Omega = j*w`` for continuous-time models and ``exp(j*w*ts)`` for
     discrete-time ones. Returned with zero variance and an oracle tag;
-    bins where ``Omega*I - A`` is singular become NaN defects.
+    bins where ``Omega*I - A`` is not finite or exactly singular become
+    NaN defects.
     """
     bin_freqs = np.asarray(bin_freqs, dtype=float)
     if m.ts is not None:
@@ -573,10 +574,9 @@ def true_frf(m: StateSpaceModel, bin_freqs) -> FrfEstimate:
         omegas = np.exp(1j * bin_freqs * m.ts)
     else:
         omegas = 1j * bin_freqs
-    g = np.full((bin_freqs.size, m.n_outputs, m.n_inputs), np.nan + 0j)
     resolvent = omegas[:, np.newaxis, np.newaxis] * np.eye(m.n_states) - m.a
-    ok = _conditioning(resolvent)[1]
-    g[ok] = m.c @ np.linalg.solve(resolvent[ok], m.b) + m.d
+    inverse, _, ok = _inverse(resolvent)
+    g = m.c @ (inverse @ m.b) + m.d
     defects = [BinDefect(int(k), "resolvent_singular") for k in np.flatnonzero(~ok)]
     tag = {"estimator": "state_space_oracle",
            "time_domain": "continuous" if m.is_continuous else "discrete"}

@@ -198,7 +198,7 @@ def test_criterion_4_direct_method_bias(plant_d):
     spec = MultisineSpec.flat(period, rms=1.0, phase_seed=300, n_periods=n_total)
     d = generate_multisine(spec, TS)
     rec = simulate_closed_loop(siso, ctrl, d, noise_std=sigma, noise_seed=301)
-    dataset = ClosedLoopDataset.from_record(rec, 0, ctrl)
+    dataset = ClosedLoopDataset.from_record(rec, 0)
     dataset = dataset.tail_periods(period, n_used)
 
     direct = direct_estimate(dataset, period)
@@ -312,7 +312,7 @@ def test_criterion_7_degeneracy_suite(plant_d):
     spec = MultisineSpec.flat(period, rms=1.0, phase_seed=600, n_periods=4)
     d = generate_multisine(spec, TS)
     rec = simulate_closed_loop(siso, ctrl0, d, noise_std=0.01, noise_seed=601)
-    dataset = ClosedLoopDataset.from_record(rec, 0, ctrl0)
+    dataset = ClosedLoopDataset.from_record(rec, 0)
     assert np.array_equal(rec.u.data, d.data)
     indirect = indirect_estimate(dataset, "sa", window_length=period)
     both = TimeSeries(np.vstack([rec.u.data, rec.y.data]), TS)
@@ -334,7 +334,7 @@ def test_criterion_7_degeneracy_suite(plant_d):
     # SISO: matrix-inverse and entrywise extractions agree to 1e-12
     ctrl = ControllerConfig.lead(1, TS, 50.0, 0.9, 0.5)
     rec2 = simulate_closed_loop(siso, ctrl, d, noise_std=0.01, noise_seed=603)
-    ds2 = ClosedLoopDataset.from_record(rec2, 0, ctrl)
+    ds2 = ClosedLoopDataset.from_record(rec2, 0)
     gs, s = sensitivity_pair(ds2, "sa", window_length=period,
                              u_channels=[0], y_channels=[0])
     frm = FrmPair(gs, s)

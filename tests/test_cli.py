@@ -214,6 +214,28 @@ class TestParseConfig:
         assert main(["run", str(write_config(tmp_path, doc))]) == 2
         assert "$.band_hz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path,value", [("seeds.phase", -1), ("seeds.noise", -2)])
+    def test_negative_seed_rejected_by_path(self, tmp_path, capsys, path, value):
+        doc = with_value({**FAST_TRANSIENT, "output_dir": str(tmp_path / "out")},
+                         path, value)
+        config = write_config(tmp_path, doc)
+        with pytest.raises(ConfigError, match=rf"\$\.{path}: must be >= 0"):
+            parse_config(config)
+        assert main(["run", str(config)]) == 2
+        assert f"$.{path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path,value", [("fs_hz", 1e308), ("n_periods_total", 10**5)])
+    def test_record_too_long_rejected(self, tmp_path, capsys, path, value):
+        # 1e308 Hz overflows the period's sample count to inf; 10**5 periods
+        # of 500 samples are a finite record of 5e7 samples
+        doc = with_value({**FAST_TRANSIENT, "output_dir": str(tmp_path / "out")},
+                         path, value)
+        config = write_config(tmp_path, doc)
+        with pytest.raises(ConfigError, match=r"\$\.multisine\.period_seconds: a record of"):
+            parse_config(config)
+        assert main(["run", str(config)]) == 2
+        assert "$.multisine.period_seconds" in capsys.readouterr().err
+
     @pytest.mark.parametrize("path,value", [
         ("fs_hz", math.inf),
         ("multisine.period_seconds", math.inf),
@@ -228,6 +250,7 @@ class TestParseConfig:
         ("multisine.excited_bins.min_hz", math.nan),
         ("multisine.excited_bins.max_hz", math.inf),
         pytest.param("fs_hz", 10**400, id="fs_hz-int_beyond_float"),
+        pytest.param("n_periods_total", 10**400, id="n_periods_total-int_beyond_float"),
     ])
     def test_non_finite_number_rejected_by_path(self, tmp_path, capsys, path, value):
         # json writes NaN and Infinity, and json reads them back
@@ -321,6 +344,18 @@ class TestRunScenario:
         # needs the full 5 s resolution and lives in the acceptance suite
         kinds = {kind for _, kind, _, _ in report.curves}
         assert kinds == {"magnitude_db", "error_db"}
+
+    def test_steady_state_start_removes_the_transient(self, tmp_path):
+        # noise-free: from rest the first period carries the transient;
+        # from the periodic steady state the estimate is exact
+        doc = {**MINIMAL_TRANSIENT, "multisine": {"period_seconds": 1.0},
+               "estimators": ["sa_rect"], "noise_std": 0.0}
+        errors = {}
+        for steady in (False, True):
+            cfg = parse_config(write_config(tmp_path, {**doc, "steady_state_start": steady}))
+            errors[steady] = run_scenario(cfg).band_stats["sa_rect"]["mean_error_abs"]
+        assert errors[False] > 1e-4
+        assert errors[True] < 1e-12
 
     def test_transient_with_discarded_periods(self, tmp_path):
         doc = {**FAST_TRANSIENT, "n_periods_total": 8, "n_periods_used": 2}
@@ -481,6 +516,13 @@ class TestCliMain:
             (out_b / "frf_sa_rect.csv").read_bytes()
         summary = json.loads((out_b / "summary.json").read_text())
         assert summary["config"]["seeds"] == {"phase": 99, "noise": 100}
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, {**FAST_TRANSIENT,
+                                       "output_dir": str(tmp_path / "out")})
+        assert main(["run", str(path), "--seed-override", "-3"]) == 2
+        assert "--seed-override" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_defect_threshold_exit_code(self, tmp_path, capsys):
         doc = {

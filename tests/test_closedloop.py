@@ -17,7 +17,7 @@ from frfkit.closedloop import (
     sensitivity_pair,
     true_sensitivity,
 )
-from frfkit.estimators import FrfEstimate, power_spectra, spectral_analysis
+from frfkit.estimators import PLANT_COND_LIMIT, FrfEstimate, power_spectra, spectral_analysis
 from frfkit.signals import (
     MultisineSpec,
     TimeSeries,
@@ -72,7 +72,7 @@ def siso_run(plant, ctrl, n_periods, noise_std=0.0, noise_seed=None,
         kwargs = {"x_plant0": xp0, "x_ctrl0": xc0}
     rec = simulate_closed_loop(plant, ctrl, d, noise_std=noise_std,
                                noise_seed=noise_seed, **kwargs)
-    ds = ClosedLoopDataset.from_record(rec, 0, ctrl)
+    ds = ClosedLoopDataset.from_record(rec, 0)
     if discard:
         ds = ds.tail_periods(PERIOD, n_periods - discard)
     return spec, ds
@@ -99,7 +99,7 @@ class TestDirectEstimate:
         d = TimeSeries(np.zeros((1, 80 * PERIOD)), TS)
         rec = simulate_closed_loop(siso_plant, siso_ctrl, d, noise_std=0.1,
                                    noise_seed=3)
-        ds = ClosedLoopDataset.from_record(rec, 0, siso_ctrl)
+        ds = ClosedLoopDataset.from_record(rec, 0)
         est = direct_estimate(ds, PERIOD)
         k = siso_ctrl.frf(est.bin_frequencies)[:, 0, 0]
         sel = slice(5, -5)
@@ -129,7 +129,7 @@ class TestDirectEstimate:
         for sigma, seed in ((0.01, 11), (0.1, 12), (1.0, 13)):
             rec = simulate_closed_loop(siso_plant, siso_ctrl, d,
                                        noise_std=sigma, noise_seed=seed)
-            ds = ClosedLoopDataset.from_record(rec, 0, siso_ctrl)
+            ds = ClosedLoopDataset.from_record(rec, 0)
             ds = ds.tail_periods(PERIOD, 50)
             est = direct_estimate(ds, PERIOD)
             distances.append(np.median(
@@ -198,7 +198,7 @@ class TestIndirectEstimate:
             ds = ClosedLoopDataset(
                 TimeSeries(rec.d.data[:, sl], TS),
                 TimeSeries(rec.u.data[:, sl], TS),
-                TimeSeries(rec.y.data[:, sl], TS), 0, siso_ctrl)
+                TimeSeries(rec.y.data[:, sl], TS), 0)
             est = indirect_estimate(ds, "sa", window_length=PERIOD)
             errs.append(np.mean(np.abs(est.g[exc, 0, 0] - g0[exc])))
         slope = np.polyfit(np.log(ms), np.log(errs), 1)[0]
@@ -262,13 +262,19 @@ class TestFullPlant:
         assert np.allclose(est.g, mimo_frm.gs.g, atol=1e-14, equal_nan=True)
 
     def test_condition_number_recorded_and_defects(self, mimo_frm):
-        est = full_plant(mimo_frm, cond_limit=1e8)
+        est = full_plant(mimo_frm)
         assert est.condition is not None
         finite = np.isfinite(est.condition)
         assert finite.sum() > 400
-        tight = full_plant(mimo_frm, cond_limit=1.0)  # everything defected
-        assert len(tight.defects) == tight.n_bins
-        assert np.all(np.isnan(tight.g))
+        # a sensitivity of condition number about 4e10, above PLANT_COND_LIMIT,
+        # at every bin: everything defected
+        near_singular = np.tile(np.ones((2, 2)) + 1e-10 * np.eye(2), (mimo_frm.s.n_bins, 1, 1))
+        ill = full_plant(FrmPair(mimo_frm.gs,
+                                 FrfEstimate(near_singular, mimo_frm.s.bin_frequencies)))
+        assert np.all(ill.condition > PLANT_COND_LIMIT)
+        assert {d.reason for d in ill.defects} == {"sensitivity_ill_conditioned"}
+        assert len(ill.defects) == ill.n_bins
+        assert np.all(np.isnan(ill.g))
 
 
 class TestEquivalentPlant:
@@ -368,8 +374,8 @@ class TestDatasetValidation:
             FrmPair(gs, s)
 
 
-def full_plant_per_bin(frm: FrmPair, cond_limit: float = 1e8):
-    """``GS S^-1`` with one condition number and inverse per bin."""
+def full_plant_per_bin(frm: FrmPair):
+    """``GS S^-1`` with one 1-norm condition number and inverse per bin."""
     n_bins, n = frm.s.n_bins, frm.s.n_inputs
     g = np.full((n_bins, frm.gs.n_outputs, n), np.nan + 0j)
     variance = np.full(g.shape, np.nan)
@@ -380,8 +386,8 @@ def full_plant_per_bin(frm: FrmPair, cond_limit: float = 1e8):
         if not np.all(np.isfinite(s_k)):
             defects.add((k, "sensitivity_not_finite"))
             continue
-        cond[k] = np.linalg.cond(s_k)
-        if not np.isfinite(cond[k]) or cond[k] > cond_limit:
+        cond[k] = np.linalg.cond(s_k, 1)
+        if not np.isfinite(cond[k]) or cond[k] > PLANT_COND_LIMIT:
             defects.add((k, "sensitivity_ill_conditioned"))
             continue
         s_inv = np.linalg.inv(s_k)

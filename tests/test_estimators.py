@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frfkit.estimators import (
+    SA_COND_LIMIT,
     FrfEstimate,
     LpmConfig,
+    _inverse,
     average_then_divide,
     etfe,
-    lpm_edge_policy,
     lpm_fit,
     noise_covariance,
     power_spectra,
@@ -458,23 +459,43 @@ class TestLpm:
         assert np.all(np.isnan(some.g[:100]))
 
 
+def lpm_error_outside(k, window, n_bins=101):
+    """Relative error of the quadratic LPM at bin ``k`` on spectra that
+    follow an exact quadratic FRF and transient on the bins of ``window``
+    and are garbage everywhere else: round-off exactly when the fit's
+    window is ``window``."""
+    rng = np.random.default_rng(5)
+    bins = np.arange(n_bins)
+    u = rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
+    g = 1.0 + 0.1j * bins - 2e-3 * bins**2
+    y = g * u + (0.5 - 0.01 * bins + 1e-4j * bins**2)
+    outside = np.ones(n_bins, dtype=bool)
+    outside[window] = False
+    y[outside] += 10.0 * rng.standard_normal(outside.sum())
+    sp = SpectrumSet(np.stack([u, y])[np.newaxis], bin_frequencies(2 * (n_bins - 1), TS),
+                     2 * (n_bins - 1), ts=TS)
+    est = lpm_fit(sp, LpmConfig(2, 4, 1), input_channels=[0], output_channels=[1], bins=[k])
+    return abs(est.g[k, 0, 0] - g[k]) / abs(g[k])
+
+
 class TestEdgePolicy:
+    """The LPM window of 2*half_width + 1 bins: centered on the bin, shifted
+    inward at the spectrum edges."""
+
     def test_interior_centered(self):
-        cfg = LpmConfig(2, 4, 1)
-        assert list(lpm_edge_policy(50, 101, cfg)) == list(range(46, 55))
+        assert lpm_error_outside(50, range(46, 55)) < 1e-10
+        assert lpm_error_outside(50, range(47, 56)) > 1e-3
 
     def test_left_edge_shifted(self):
-        cfg = LpmConfig(2, 4, 1)
-        assert list(lpm_edge_policy(0, 101, cfg)) == list(range(0, 9))
-        assert list(lpm_edge_policy(2, 101, cfg)) == list(range(0, 9))
+        assert lpm_error_outside(0, range(0, 9)) < 1e-10
+        assert lpm_error_outside(2, range(0, 9)) < 1e-10
 
     def test_right_edge_shifted(self):
-        cfg = LpmConfig(2, 4, 1)
-        assert list(lpm_edge_policy(100, 101, cfg)) == list(range(92, 101))
+        assert lpm_error_outside(100, range(92, 101)) < 1e-10
 
     def test_too_few_bins(self):
         with pytest.raises(ValueError):
-            lpm_edge_policy(0, 8, LpmConfig(2, 4, 1))
+            lpm_fit(synthetic_spectra(8, 2, 0), LpmConfig(2, 4, 1))
 
 
 class TestEstimatorAgreement:
@@ -576,7 +597,7 @@ def lpm_per_bin(sp, cfg, n_u, bins):
     gram_error = np.full(n_bins, np.nan)
     defects = set()
     for k in bins:
-        lo = lpm_edge_policy(k, n_bins, cfg).start
+        lo = min(max(k - n_w, 0), n_bins - width)
         rho = (np.arange(lo, lo + width) - k) / n_w
         k1 = np.vander(rho, order + 1, increasing=True).T
         reg = np.vstack([(k1[:, np.newaxis, :] * u[np.newaxis, :, lo:lo + width])
@@ -610,10 +631,11 @@ def noise_covariance_per_bin(ps):
     return cv
 
 
-def spectral_analysis_per_bin(ps, cond_limit=1e12):
+def spectral_analysis_per_bin(ps):
     """Per-bin spectral analysis with its own SISO path, as the package did
-    before it was stacked. One deliberate difference: an exactly singular
-    multi-input ``phi_uu`` (condition number inf), which that loop named
+    before it was stacked. Two deliberate differences: the condition number
+    is the 1-norm one, and an exactly singular multi-input ``phi_uu``
+    (condition number inf), which that loop named
     ``ill_conditioned_input_spectrum``, is ``singular_input_spectrum``
     here, as it always was for one input."""
     n_bins, n_u = ps.phi_uu.shape[0], ps.n_inputs
@@ -633,11 +655,11 @@ def spectral_analysis_per_bin(ps, cond_limit=1e12):
             g[k] = ps.phi_yu[k] / p
             inv_diag[k, 0] = 1.0 / p
             continue
-        cond = np.linalg.cond(puu)
+        cond = np.linalg.cond(puu, 1)
         if np.isinf(cond):
             defects.add((k, "singular_input_spectrum"))
             continue
-        if cond > cond_limit:
+        if cond > SA_COND_LIMIT:
             defects.add((k, "ill_conditioned_input_spectrum"))
             continue
         inv_uu = np.linalg.solve(puu, np.eye(n_u))
@@ -701,3 +723,31 @@ class TestStackedEqualsPerBin:
         assert_matches_reference(sa.variance, variance)
         assert_matches_reference(noise_covariance(ps), noise_covariance_per_bin(ps))
 
+
+
+class TestInverse:
+    """The one stacked inverse against per-matrix numpy."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(n=st.integers(1, 4), n_mats=st.integers(3, 12), real=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_matrix(self, n, n_mats, real, seed):
+        rng = np.random.default_rng(seed)
+        mats = rng.standard_normal((n_mats, n, n))
+        if not real:
+            mats = mats + 1j * rng.standard_normal((n_mats, n, n))
+        mats[0, rng.integers(n), rng.integers(n)] = np.nan  # not finite
+        mats[1, :, rng.integers(n)] = 0.0                   # exactly singular
+        mats[2] = np.ones((n, n)) + 1e-9 * np.eye(n)        # near-singular for n > 1
+        mats = mats[rng.permutation(n_mats)]
+        inverse, cond, mask = _inverse(mats)
+        for k, m in enumerate(mats):
+            assert np.array_equal(cond[k], np.linalg.cond(m, 1), equal_nan=True)
+            try:
+                want = np.linalg.inv(m)
+            except np.linalg.LinAlgError:  # exactly singular
+                want = np.full_like(m, np.nan)
+            if not np.all(np.isfinite(m)):
+                want = np.full_like(m, np.nan)
+            assert mask[k] == np.all(np.isfinite(want))
+            assert np.array_equal(inverse[k], want, equal_nan=True)

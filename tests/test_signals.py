@@ -10,7 +10,6 @@ from frfkit.signals import (
     bin_frequencies,
     dft,
     generate_multisine,
-    idft,
     read_timeseries_csv,
     spectrum_set,
     write_timeseries_csv,
@@ -60,34 +59,6 @@ class TestDft:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             dft([])
-
-
-class TestIdft:
-    def test_impulse_round_trip(self):
-        x = np.zeros(16)
-        x[0] = 1.0
-        assert np.allclose(idft(dft(x)), x, atol=1e-14)
-
-    def test_single_bin_is_sinusoid(self):
-        n = 100
-        X = np.zeros(n, dtype=complex)
-        X[3] = 0.5
-        X[n - 3] = 0.5
-        x = idft(X)
-        expected = np.cos(2 * np.pi * 3 * np.arange(n) / n) / math.sqrt(n)
-        assert np.allclose(x, expected, atol=1e-14)
-
-    def test_random_round_trip(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal(257)
-        back = idft(dft(x))
-        assert np.max(np.abs(back - x)) <= 1e-12 * np.max(np.abs(x))
-
-    def test_rejects_asymmetric_spectrum(self):
-        X = np.zeros(8, dtype=complex)
-        X[1] = 1.0  # no conjugate image at bin 7
-        with pytest.raises(ValueError):
-            idft(X)
 
 
 class TestTimeSeries:

@@ -4,8 +4,12 @@ estimation, and MIMO full-plant vs equivalent-plant extraction.
 The loop topology throughout is excitation at the plant input,
 ``u = d - K(y + v)``, so the maps identified from ``d`` are the input
 sensitivity ``S = (I + K G)^{-1}`` (d to u) and the process sensitivity
-``GS = G (I + K G)^{-1}`` (d to y); the plant follows as ``GS / S``
-(SISO) or ``GS S^{-1}`` (MIMO, matrix inverse).
+``GS = G (I + K G)^{-1}`` (d to y). Every plant estimate is the one
+operation ``GS S^{-1}`` of :func:`_plant`, with a single floor, condition
+limit, variance and set of defect reasons: the SISO indirect estimate
+on 1x1 matrices, the full plant on the n x n sensitivity matrices, and
+the entrywise ``GS ./ S`` of the equivalent plant on every entry as its
+own 1x1 matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimators import (
-    PLANT_COND_LIMIT,
     BinDefect,
     FrfEstimate,
     LpmConfig,
@@ -33,7 +36,8 @@ from .sim import (
 )
 from .signals import MultisineSpec, TimeSeries, WindowFunction, generate_multisine, spectrum_set
 
-S_FLOOR_REL = 1e-12  # |S| floor relative to its median before dividing
+S_FLOOR_REL = 1e-12     # 1-norm floor of S relative to its median over finite bins
+PLANT_COND_LIMIT = 1e8  # largest 1-norm condition number of S that is inverted
 
 
 @dataclass
@@ -183,31 +187,11 @@ def indirect_estimate(dataset: ClosedLoopDataset, estimator: str = "sa",
     j = dataset.excited_input_index
     gs, s = sensitivity_pair(dataset, estimator, window_length, window,
                              lpm_config, u_channels=[j], y_channels=[j])
-    s_vals = s.g[:, 0, 0]
-    # scale off the median: unlike the peak it is immune to the huge
-    # garbage ratios produced at unexcited bins
-    finite = np.abs(s_vals[np.isfinite(s_vals)])
-    floor_abs = S_FLOOR_REL * (float(np.median(finite)) if finite.size else 0.0)
-    ok = np.abs(s_vals) > floor_abs
-    g = np.full_like(s_vals, np.nan + 0j)
-    g[ok] = gs.g[ok, 0, 0] / s_vals[ok]
-    defects = list(gs.defects)
-    defects += [BinDefect(int(k), "sensitivity_floored", floor_abs)
-                for k in np.flatnonzero(~ok)]
-    variance = None
-    if gs.variance is not None and s.variance is not None:
-        # first-order propagation of var(GS/S); approximate
-        with np.errstate(invalid="ignore", divide="ignore"):
-            variance = np.where(
-                ok,
-                (gs.variance[:, 0, 0] + np.abs(g) ** 2 * s.variance[:, 0, 0])
-                / np.abs(s_vals) ** 2,
-                np.nan,
-            )[:, np.newaxis, np.newaxis]
+    g, variance, _, defects = _plant(gs.g, s.g, gs.variance, s.variance)
     tag = {"estimator": estimator, "method": "indirect_closed_loop",
            "variance_approximate": variance is not None}
-    return FrfEstimate(g[:, np.newaxis, np.newaxis], gs.bin_frequencies,
-                       variance=variance, estimator_tag=tag, defects=defects)
+    return FrfEstimate(g, gs.bin_frequencies, variance=variance, estimator_tag=tag,
+                       defects=gs.defects + defects)
 
 
 def run_mimo_experiments(plant: StateSpaceModel, ctrl: ControllerConfig,
@@ -292,30 +276,50 @@ def run_mimo_experiments(plant: StateSpaceModel, ctrl: ControllerConfig,
                    assemble(s_cols, s_var, defects_s, "sensitivity"))
 
 
+def _plant(gs, s, var_gs=None, var_s=None):
+    """``G = GS S^{-1}`` over a stack of square sensitivities ``S``.
+
+    Returns ``(g, variance, cond, defects)``. A bin is kept when its ``S``
+    is finite, its 1-norm condition number is at most
+    ``PLANT_COND_LIMIT`` and its 1-norm exceeds ``S_FLOOR_REL`` times the
+    median over the finite bins (unlike the peak, the median is immune to
+    the huge ratios produced at unexcited bins). Any other bin is NaN and
+    a defect: ``sensitivity_not_finite``, else
+    ``sensitivity_ill_conditioned`` (detail: the condition number, inf
+    when singular), else ``sensitivity_floored`` (detail: the floor). The
+    variance is the first-order propagation through
+    ``dG = dGS S^-1 - G dS S^-1``, ``var_GS W + |G|^2 var_S W`` with
+    ``W = |S^-1|^2``; None unless both variances are given.
+    """
+    s_inv, cond, _ = _inverse(s)
+    finite = ~np.isnan(cond)
+    norm = np.linalg.norm(s, 1, axis=(1, 2))
+    floor = S_FLOOR_REL * (float(np.median(norm[finite])) if finite.any() else 0.0)
+    ok = (cond <= PLANT_COND_LIMIT) & (norm > floor)
+    g = gs @ s_inv
+    g[~ok] = np.nan
+    variance = None
+    if var_gs is not None and var_s is not None:
+        w = np.abs(s_inv) ** 2
+        variance = var_gs @ w + np.abs(g) ** 2 @ var_s @ w
+    defects = [BinDefect(int(k), "sensitivity_not_finite") if not finite[k]
+               else BinDefect(int(k), "sensitivity_ill_conditioned", float(cond[k]))
+               if cond[k] > PLANT_COND_LIMIT
+               else BinDefect(int(k), "sensitivity_floored", floor)
+               for k in np.flatnonzero(~ok)]
+    return g, variance, cond, defects
+
+
 def full_plant(frm: FrmPair) -> FrfEstimate:
     """Multivariable plant via the per-bin matrix inverse ``GS S^{-1}``.
 
-    Bins where the sensitivity matrix is not finite, singular or has a
-    1-norm condition number above ``PLANT_COND_LIMIT`` become NaN
-    defects; the condition number is recorded per bin either way.
+    Bins are kept or logged as defects by the one sensitivity policy of
+    :func:`_plant`; the condition number is recorded per bin either way.
     """
-    s_inv, cond, invertible = _inverse(frm.s.g)
-    ok = invertible & (cond <= PLANT_COND_LIMIT)
-    defects = [BinDefect(int(k), "sensitivity_not_finite") if np.isnan(cond[k])
-               else BinDefect(int(k), "sensitivity_ill_conditioned", float(cond[k]))
-               for k in np.flatnonzero(~ok)]
-    g = frm.gs.g @ s_inv
-    g[~ok] = np.nan
-    have_var = frm.gs.variance is not None and frm.s.variance is not None
-    variance = None
-    if have_var:
-        # first-order propagation through dG = dGS S^-1 - G dS S^-1; NaN
-        # wherever G is
-        w = np.abs(s_inv) ** 2
-        variance = frm.gs.variance @ w + np.abs(g) ** 2 @ frm.s.variance @ w
+    g, variance, cond, defects = _plant(frm.gs.g, frm.s.g, frm.gs.variance, frm.s.variance)
     tag = {"estimator": "full_plant_matrix_inverse",
            "source": frm.gs.estimator_tag.get("estimator"),
-           "variance_approximate": have_var}
+           "variance_approximate": variance is not None}
     return FrfEstimate(g, frm.gs.bin_frequencies, variance=variance,
                        estimator_tag=tag, defects=defects, condition=cond)
 
@@ -326,32 +330,26 @@ def equivalent_plant(frm: FrmPair) -> FrfEstimate:
     Hadamard division instead of a matrix inverse: each entry is the
     SISO transfer seen by one loop with every other loop closed, which
     differs from the true multivariable plant whenever there is
-    interaction.
+    interaction. The entries of every bin form one stack of 1x1
+    sensitivities for :func:`_plant`, so they share its floor and defect
+    reasons; each defect is logged at the bin its entry came from.
     """
-    if frm.gs.g.shape != frm.s.g.shape:
+    shape = frm.gs.g.shape
+    if shape != frm.s.g.shape:
         raise ValueError("equivalent plant needs matching gs and s shapes")
-    s_vals = frm.s.g
-    ok = np.abs(s_vals) > 0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        g = np.where(ok, frm.gs.g / np.where(ok, s_vals, 1.0), np.nan + 0j)
-    defects = []
-    for k, i, j in zip(*np.nonzero(~ok)):
-        defects.append(BinDefect(int(k), f"sensitivity_zero_entry_{i + 1}{j + 1}"))
-    variance = None
-    if frm.gs.variance is not None and frm.s.variance is not None:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            variance = np.where(
-                ok,
-                (frm.gs.variance + np.abs(g) ** 2 * frm.s.variance)
-                / np.abs(s_vals) ** 2,
-                np.nan,
-            )
+    entries = lambda a: None if a is None else a.reshape(-1, 1, 1)
+    g, variance, _, defects = _plant(entries(frm.gs.g), entries(frm.s.g),
+                                     entries(frm.gs.variance), entries(frm.s.variance))
+    per_bin = shape[1] * shape[2]
     tag = {"estimator": "equivalent_plant_hadamard",
            "source": frm.gs.estimator_tag.get("estimator"),
            "semantics": "per-loop equivalent plant (other loops closed)",
            "variance_approximate": variance is not None}
-    return FrfEstimate(g, frm.gs.bin_frequencies, variance=variance,
-                       estimator_tag=tag, defects=defects)
+    return FrfEstimate(
+        g.reshape(shape), frm.gs.bin_frequencies,
+        variance=None if variance is None else variance.reshape(shape),
+        estimator_tag=tag,
+        defects=[replace(d, bin_index=d.bin_index // per_bin) for d in defects])
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ TWO_PI = 2.0 * math.pi
 ETFE_FLOOR_REL = 1e-12  # default |U| floor relative to the spectrum peak
 LPM_CHUNK = 2048        # bins per stacked local fit; bounds the regressor's memory
 SA_COND_LIMIT = 1e12    # largest condition number of phi_uu that SA inverts
-PLANT_COND_LIMIT = 1e8  # largest condition number of S that full_plant inverts
 
 
 @dataclass

@@ -81,10 +81,6 @@ class TimeSeries:
             raise IndexError(f"channel index {idx} out of range")
         return idx % self.n_channels
 
-    def channel(self, key) -> np.ndarray:
-        """Return one channel as a 1-D array (view)."""
-        return self.data[self.channel_index(key)]
-
 
 def dft(x) -> np.ndarray:
     """Energy-preserving DFT of a real sequence, all bins ``0..N-1``.

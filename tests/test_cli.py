@@ -410,7 +410,7 @@ class TestRunScenario:
         cfg = parse_config(write_config(tmp_path, FAST_BIAS))
         report = run_scenario(cfg)
         # the indirect estimate logs its one bad bin twice: once from the
-        # open-loop fit, once as sensitivity_floored
+        # open-loop fit, once as sensitivity_not_finite
         assert len(report.defect_log) == 2
         assert round(report.defect_fraction(), 6) == 0.001992
 

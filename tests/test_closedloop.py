@@ -4,8 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frfkit.closedloop import (
+    PLANT_COND_LIMIT,
+    S_FLOOR_REL,
     ClosedLoopDataset,
     FrmPair,
+    _plant,
     direct_bias_asymptote,
     direct_estimate,
     equivalent_plant,
@@ -17,7 +20,7 @@ from frfkit.closedloop import (
     sensitivity_pair,
     true_sensitivity,
 )
-from frfkit.estimators import PLANT_COND_LIMIT, FrfEstimate, power_spectra, spectral_analysis
+from frfkit.estimators import FrfEstimate, power_spectra, spectral_analysis
 from frfkit.signals import (
     MultisineSpec,
     TimeSeries,
@@ -138,15 +141,33 @@ class TestDirectEstimate:
 
 
 class TestIndirectEstimate:
-    def test_open_loop_reduces_to_plain_spectral_analysis(self, siso_plant):
+    @settings(derandomize=True, deadline=None, max_examples=12)
+    @given(phase_seed=st.integers(0, 2**32 - 1), n_periods=st.integers(2, 6),
+           noisy=st.booleans())
+    def test_open_loop_reduces_to_plain_spectral_analysis(self, siso_plant, phase_seed,
+                                                          n_periods, noisy):
         ctrl0 = ControllerConfig(((0.0,),), ((1.0,),), TS)
-        spec, ds = siso_run(siso_plant, ctrl0, 4, phase_seed=7)
+        spec, ds = siso_run(siso_plant, ctrl0, n_periods, noise_std=0.05 if noisy else 0.0,
+                            noise_seed=phase_seed if noisy else None, phase_seed=phase_seed)
         assert np.array_equal(ds.u.data, ds.d.data)  # loop disabled
         est = indirect_estimate(ds, "sa", window_length=PERIOD)
         both = TimeSeries(np.vstack([ds.u.data, ds.y.data]), TS)
         plain = spectral_analysis(power_spectra(spectrum_set(both, PERIOD), [0], [1]))
         exc = np.array(spec.excited_bins)
         assert np.allclose(est.g[exc, 0, 0], plain.g[exc, 0, 0], rtol=1e-12)
+
+    @pytest.mark.parametrize("estimator", ["sa", "lpm"])
+    def test_indirect_is_the_one_by_one_plant(self, siso_plant, siso_ctrl, estimator):
+        _, ds = siso_run(siso_plant, siso_ctrl, 4, noise_std=0.05, noise_seed=4,
+                         phase_seed=3)
+        window_length = PERIOD if estimator == "sa" else None
+        est = indirect_estimate(ds, estimator, window_length=window_length)
+        gs, s = sensitivity_pair(ds, estimator, window_length=window_length,
+                                 u_channels=[0], y_channels=[0])
+        g, variance, _, defects = _plant(gs.g, s.g, gs.variance, s.variance)
+        assert np.array_equal(est.g, g, equal_nan=True)
+        assert np.array_equal(est.variance, variance, equal_nan=True)
+        assert est.defects == gs.defects + defects
 
     def test_noiseless_recovers_plant(self, siso_plant, siso_ctrl):
         spec, ds = siso_run(siso_plant, siso_ctrl, 4, steady=True)
@@ -329,15 +350,26 @@ class TestEquivalentPlant:
                                     mimo_ctrl.frf(freqs), loop=0)[exc]
         assert np.max(np.abs(gap - expected)) < 1e-6 * np.max(np.abs(expected))
 
-    def test_siso_degeneracy_full_equals_equivalent(self, siso_plant, siso_ctrl):
-        spec, ds = siso_run(siso_plant, siso_ctrl, 6, discard=2)
-        gs, s = sensitivity_pair(ds, "sa", window_length=PERIOD,
-                                 u_channels=[0], y_channels=[0])
-        frm = FrmPair(gs, s)
-        a = full_plant(frm).g[:, 0, 0]
-        b = equivalent_plant(frm).g[:, 0, 0]
-        ok = np.isfinite(a) & np.isfinite(b)
-        assert np.max(np.abs(a[ok] - b[ok]) / np.abs(b[ok])) <= 1e-12
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(n_bins=st.integers(6, 60), seed=st.integers(0, 2**32 - 1))
+    def test_siso_degeneracy_full_equals_equivalent(self, n_bins, seed):
+        rng = np.random.default_rng(seed)
+
+        def cplx(n):
+            return (rng.standard_normal(n) + 1j * rng.standard_normal(n)).reshape(n, 1, 1)
+        s = cplx(n_bins)
+        # not finite, singular and below the floor, at random bins
+        s[rng.choice(n_bins, 3, replace=False), 0, 0] = np.nan, 0.0, 1e-14
+        freqs = np.arange(1.0, n_bins + 1.0)
+        frm = FrmPair(FrfEstimate(cplx(n_bins), freqs,
+                                  variance=rng.uniform(0, 1, (n_bins, 1, 1))),
+                      FrfEstimate(s, freqs, variance=rng.uniform(0, 1, (n_bins, 1, 1))))
+        full, equivalent = full_plant(frm), equivalent_plant(frm)
+        assert np.array_equal(full.g, equivalent.g, equal_nan=True)
+        assert np.array_equal(full.variance, equivalent.variance, equal_nan=True)
+        assert full.defects == equivalent.defects
+        assert {d.reason for d in full.defects} == {
+            "sensitivity_not_finite", "sensitivity_ill_conditioned", "sensitivity_floored"}
 
     def test_variance_propagation_flagged(self, plant_d, mimo_ctrl):
         spec = MultisineSpec.flat(512, rms=1.0, phase_seed=53, n_periods=6)
@@ -362,7 +394,7 @@ class TestDatasetValidation:
         d = TimeSeries(np.arange(12.0)[np.newaxis], TS)
         ds = ClosedLoopDataset(d, d, d)
         tail = ds.tail_periods(4, 2)
-        assert np.array_equal(tail.d.channel(0), np.arange(4.0, 12.0))
+        assert np.array_equal(tail.d.data[0], np.arange(4.0, 12.0))
         with pytest.raises(ValueError):
             ds.tail_periods(4, 4)
 
@@ -375,12 +407,15 @@ class TestDatasetValidation:
 
 
 def full_plant_per_bin(frm: FrmPair):
-    """``GS S^-1`` with one 1-norm condition number and inverse per bin."""
+    """``GS S^-1`` with one 1-norm condition number, inverse and floor test
+    per bin; the floor is relative to the median 1-norm of the finite bins."""
     n_bins, n = frm.s.n_bins, frm.s.n_inputs
     g = np.full((n_bins, frm.gs.n_outputs, n), np.nan + 0j)
     variance = np.full(g.shape, np.nan)
     cond = np.full(n_bins, np.nan)
     defects = set()
+    floor = S_FLOOR_REL * np.median([np.linalg.norm(s_k, 1) for s_k in frm.s.g
+                                     if np.all(np.isfinite(s_k))])
     for k in range(n_bins):
         s_k = frm.s.g[k]
         if not np.all(np.isfinite(s_k)):
@@ -389,6 +424,9 @@ def full_plant_per_bin(frm: FrmPair):
         cond[k] = np.linalg.cond(s_k, 1)
         if not np.isfinite(cond[k]) or cond[k] > PLANT_COND_LIMIT:
             defects.add((k, "sensitivity_ill_conditioned"))
+            continue
+        if np.linalg.norm(s_k, 1) <= floor:
+            defects.add((k, "sensitivity_floored"))
             continue
         s_inv = np.linalg.inv(s_k)
         g[k] = frm.gs.g[k] @ s_inv
@@ -401,7 +439,7 @@ class TestStackedEqualsPerBin:
     """The stacked plant extraction against the per-bin loop it replaced."""
 
     @settings(derandomize=True, deadline=None, max_examples=30)
-    @given(n=st.integers(1, 3), n_y=st.integers(1, 3), n_bins=st.integers(3, 80),
+    @given(n=st.integers(1, 3), n_y=st.integers(1, 3), n_bins=st.integers(4, 80),
            seed=st.integers(0, 2**32 - 1))
     def test_full_plant(self, n, n_y, n_bins, seed):
         rng = np.random.default_rng(seed)
@@ -412,6 +450,7 @@ class TestStackedEqualsPerBin:
         s[0] = 0.0                    # exactly singular
         s[1, 0, 0] = np.nan           # not finite
         s[2] = 1e-9 * np.eye(n) + 1.0  # ill-conditioned (for n > 1)
+        s[3] = 1e-14 * np.eye(n)      # below the floor
         freqs = np.arange(1.0, n_bins + 1.0)
         frm = FrmPair(FrfEstimate(cplx(n_bins, n_y, n), freqs,
                                   variance=rng.uniform(0, 1, (n_bins, n_y, n))),

@@ -341,6 +341,23 @@ class TestLpm:
         assert np.max(np.abs(est.g[ik] - g_of_k[ik])) <= 1e-10
         assert np.max(np.abs(est.transient[ik] - t_of_k[ik])) <= 1e-10
 
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(order=st.integers(0, 3), n_u=st.integers(1, 2), extra_width=st.integers(0, 3),
+           spare_bins=st.integers(0, 20), seed=st.integers(0, 2**32 - 1))
+    def test_exact_polynomial_recovery_every_bin(self, order, n_u, extra_width,
+                                                 spare_bins, seed):
+        # smallest solvable half-width plus up to 3; with no spare bins
+        # every window but the middle one is shifted inward
+        cfg = LpmConfig(order, ((order + 1) * (n_u + 1) + 1) // 2 + extra_width, 1)
+        n_bins = 2 * cfg.half_width + 1 + spare_bins
+        sp, g_of_k, t_of_k, _, _ = build_polynomial_spectra(order, n_u, n_bins, seed)
+        est = lpm_fit(sp, cfg, input_channels=list(range(n_u)),
+                      output_channels=[n_u, n_u + 1])
+        assert not est.defects
+        scale = max(np.max(np.abs(g_of_k)), np.max(np.abs(t_of_k)))
+        assert np.max(np.abs(est.g - g_of_k)) <= 1e-10 * scale
+        assert np.max(np.abs(est.transient - t_of_k)) <= 1e-10 * scale
+
     @pytest.mark.parametrize("half_width", [5, 8, 12])
     def test_exact_recovery_any_solvable_width(self, half_width):
         n_bins = 80

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frfkit.signals import (
     MultisineSpec,
@@ -52,6 +54,13 @@ class TestDft:
         x = rng.standard_normal(n)
         assert np.sum(np.abs(dft(x)) ** 2) == pytest.approx(np.sum(x**2), rel=1e-12)
 
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(half=st.integers(0, 2048), odd=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_parseval_random_odd_and_even_lengths(self, half, odd, seed):
+        n = max(2 * half + odd, 1)
+        x = np.random.default_rng(seed).standard_normal(n)
+        assert np.sum(np.abs(dft(x)) ** 2) == pytest.approx(np.sum(x**2), rel=1e-12)
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             dft([1.0, np.nan, 0.0])
@@ -72,7 +81,7 @@ class TestTimeSeries:
         x = TimeSeries(np.zeros((2, 3)), 1.0, ("u", "y"))
         assert x.channel_index("y") == 1
         with pytest.raises(KeyError):
-            x.channel("nope")
+            x.channel_index("nope")
 
     def test_rejects_bad_ts(self):
         with pytest.raises(ValueError):
@@ -93,17 +102,17 @@ class TestMultisine:
         spec = MultisineSpec(64, (5,), (1.0,), phases=(0.0,))
         x = generate_multisine(spec, 0.01)
         expected = np.cos(2 * np.pi * 5 * np.arange(64) / 64)
-        assert np.allclose(x.channel(0), expected, atol=1e-12)
+        assert np.allclose(x.data[0], expected, atol=1e-12)
 
     def test_exact_periodicity(self):
         spec = MultisineSpec.flat(128, rms=2.0, phase_seed=9, n_periods=3)
-        x = generate_multisine(spec, 1e-3).channel(0)
+        x = generate_multisine(spec, 1e-3).data[0]
         assert np.array_equal(x[:128], x[128:256])
         assert np.array_equal(x[:128], x[256:])
 
     def test_spectrum_support(self):
         spec = MultisineSpec.flat(5000, phase_seed=1)
-        x = generate_multisine(spec, 1e-3).channel(0)
+        x = generate_multisine(spec, 1e-3).data[0]
         X = dft(x)
         excited = np.array(spec.excited_bins)
         mask = np.zeros(5000, dtype=bool)
@@ -115,18 +124,18 @@ class TestMultisine:
 
     def test_rms_scaling(self):
         spec = MultisineSpec.flat(4096, rms=1.7, phase_seed=5)
-        x = generate_multisine(spec, 1e-3).channel(0)
+        x = generate_multisine(spec, 1e-3).data[0]
         assert np.sqrt(np.mean(x**2)) == pytest.approx(1.7, rel=1e-12)
 
     def test_seed_determinism(self):
         spec = MultisineSpec.flat(256, phase_seed=11)
-        a = generate_multisine(spec, 1e-3).channel(0)
-        b = generate_multisine(spec, 1e-3).channel(0)
+        a = generate_multisine(spec, 1e-3).data[0]
+        b = generate_multisine(spec, 1e-3).data[0]
         assert np.array_equal(a, b)
 
     def test_different_seed_changes_signal(self):
-        a = generate_multisine(MultisineSpec.flat(256, phase_seed=1), 1e-3).channel(0)
-        b = generate_multisine(MultisineSpec.flat(256, phase_seed=2), 1e-3).channel(0)
+        a = generate_multisine(MultisineSpec.flat(256, phase_seed=1), 1e-3).data[0]
+        b = generate_multisine(MultisineSpec.flat(256, phase_seed=2), 1e-3).data[0]
         assert not np.array_equal(a, b)
 
     def test_rejects_out_of_range_bin(self):
@@ -170,7 +179,7 @@ class TestSpectrumSet:
         rng = np.random.default_rng(2)
         x = TimeSeries(rng.standard_normal(64), 0.5)
         spectra = spectrum_set(x)
-        full = dft(x.channel(0))
+        full = dft(x.data[0])
         assert np.allclose(spectra.data[0, 0], full[:33], atol=1e-13)
 
     def test_window_applied_before_dft(self):
@@ -178,7 +187,7 @@ class TestSpectrumSet:
         x = TimeSeries(rng.standard_normal(64), 1.0)
         w = WindowFunction.hann(64)
         spectra = spectrum_set(x, window=w)
-        manual = dft(x.channel(0) * w.values())
+        manual = dft(x.data[0] * w.values())
         assert np.allclose(spectra.data[0, 0], manual[:33], atol=1e-13)
 
     def test_trailing_partial_window_dropped(self):

@@ -21,7 +21,6 @@ bins) above the configured threshold.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import json
 import math
@@ -63,6 +62,8 @@ from .signals import (
     MultisineSpec,
     TimeSeries,
     WindowFunction,
+    _csv_fields,
+    _write_csv_rows,
     bin_frequencies,
     generate_multisine,
     spectrum_set,
@@ -471,7 +472,7 @@ class ScenarioReport:
     config_echo: dict
     estimates: dict                 # name -> FrfEstimate
     oracles: dict                   # name -> FrfEstimate
-    curves: list                    # long-format rows (series, kind, hz, value)
+    curve_blocks: list              # (series, kind, hz array, dB array) per curve
     band_stats: dict                # estimate name -> summary statistics
     defect_log: list
     extra_stats: dict = field(default_factory=dict)
@@ -484,6 +485,13 @@ class ScenarioReport:
         if total_bins == 0:
             return 0.0
         return len({(d["estimate"], d["bin"]) for d in self.defect_log}) / total_bins
+
+    @property
+    def curves(self):
+        """The curves point by point, in ``curves.csv`` order: a fresh
+        iterator of ``(series, kind, hz, value_db)`` tuples per access."""
+        return ((series, kind, f, v) for series, kind, hz, db in self.curve_blocks
+                for f, v in zip(hz.tolist(), db.tolist()))
 
 
 def _load_plant(cfg: ScenarioConfig) -> StateSpaceModel:
@@ -548,15 +556,11 @@ def _mag_db(values: np.ndarray) -> np.ndarray:
     return 20.0 * np.log10(np.maximum(np.abs(values), 1e-300))
 
 
-def _collect_curves(curves, series, freqs_hz, values, oracle_values=None):
-    """Append long-format magnitude (and error) rows for one series."""
-    mag = _mag_db(values)
-    for f, v in zip(freqs_hz, mag):
-        curves.append((series, "magnitude_db", float(f), float(v)))
+def _collect_curves(blocks, series, freqs_hz, values, oracle_values=None):
+    """Append the magnitude (and error) block of one series."""
+    blocks.append((series, "magnitude_db", freqs_hz, _mag_db(values)))
     if oracle_values is not None:
-        err = _mag_db(values - oracle_values)
-        for f, v in zip(freqs_hz, err):
-            curves.append((series, "error_db", float(f), float(v)))
+        blocks.append((series, "error_db", freqs_hz, _mag_db(values - oracle_values)))
 
 
 def _band_stats(freqs_hz, values, oracle_values, band_hz) -> dict:
@@ -637,7 +641,7 @@ def _run_single_experiment(cfg: ScenarioConfig) -> ScenarioReport:
         return grids[n_samples]
 
     exc = np.asarray(spec.excited_bins)
-    estimates, curves, stats, defects = {}, [], {}, []
+    estimates, blocks, stats, defects = {}, [], {}, []
     for name in cfg.estimators:
         entry = _ESTIMATORS[cfg.scenario][name]
         sa = entry.method == "sa"
@@ -649,7 +653,7 @@ def _run_single_experiment(cfg: ScenarioConfig) -> ScenarioReport:
         sel = periods * exc
         freqs_hz = est.frequencies_hz
         estimates[name] = est
-        _collect_curves(curves, name, freqs_hz[sel], est.g[sel, 0, 0], truth[sel])
+        _collect_curves(blocks, name, freqs_hz[sel], est.g[sel, 0, 0], truth[sel])
         stats[name] = _band_stats(freqs_hz[sel], est.g[sel, 0, 0], truth[sel],
                                   cfg.band_hz)
         defects += _defect_entries(name, est, freqs_hz)
@@ -660,7 +664,7 @@ def _run_single_experiment(cfg: ScenarioConfig) -> ScenarioReport:
     oracles = {"oracle": FrfEstimate(
         truth[:, None, None], w, variance=np.zeros((len(w), 1, 1)),
         estimator_tag={"estimator": "plant_oracle" if bias else "sensitivity_oracle"})}
-    _collect_curves(curves, "oracle", w / TWO_PI, truth)
+    _collect_curves(blocks, "oracle", w / TWO_PI, truth)
 
     extra = {}
     if bias:
@@ -671,7 +675,7 @@ def _run_single_experiment(cfg: ScenarioConfig) -> ScenarioReport:
         oracles["bias_asymptote"] = FrfEstimate(
             asymptote[:, None, None], w,
             estimator_tag={"estimator": "direct_bias_asymptote", "noise_std": sigma})
-        _collect_curves(curves, "bias_asymptote", w[exc] / TWO_PI,
+        _collect_curves(blocks, "bias_asymptote", w[exc] / TWO_PI,
                         asymptote[exc], truth[exc])
         est = estimates.get("direct_sa")
         if est is not None and est.variance is not None:
@@ -679,7 +683,7 @@ def _run_single_experiment(cfg: ScenarioConfig) -> ScenarioReport:
             ok = dev <= 3 * np.sqrt(est.variance[exc, 0, 0])
             extra["direct_within_3se_of_asymptote"] = float(np.mean(ok[np.isfinite(dev)]))
     return ScenarioReport(cfg.scenario, cfg.echo(), estimates, oracles,
-                          curves, stats, defects, extra)
+                          blocks, stats, defects, extra)
 
 
 def _run_mimo_study(cfg: ScenarioConfig) -> ScenarioReport:
@@ -712,16 +716,16 @@ def _run_mimo_study(cfg: ScenarioConfig) -> ScenarioReport:
     eq_true = equivalent_plant_true(g_true, k_frf)
 
     estimates = {"gs": frm.gs, "s": frm.s, "g_full": g_full, "g_equiv": g_eq}
-    curves, stats, defects = [], {}, []
+    blocks, stats, defects = [], {}, []
     n = plant.n_inputs
     for i in range(n):
         for jj in range(n):
             label = f"{i + 1}{jj + 1}"
-            _collect_curves(curves, f"g_full_{label}", freqs_hz[exc],
+            _collect_curves(blocks, f"g_full_{label}", freqs_hz[exc],
                             g_full.g[exc, i, jj], g_true[exc, i, jj])
-            _collect_curves(curves, f"g_equiv_{label}", freqs_hz[exc],
+            _collect_curves(blocks, f"g_equiv_{label}", freqs_hz[exc],
                             g_eq.g[exc, i, jj], eq_true[exc, i, jj])
-            _collect_curves(curves, f"oracle_{label}", freqs_hz[exc],
+            _collect_curves(blocks, f"oracle_{label}", freqs_hz[exc],
                             g_true[exc, i, jj])
     stats["g_full"] = _band_stats(freqs_hz[exc], g_full.g[exc, 0, 0],
                                   g_true[exc, 0, 0], cfg.band_hz)
@@ -734,11 +738,11 @@ def _run_mimo_study(cfg: ScenarioConfig) -> ScenarioReport:
     if n == 2:
         gap = g_full.g[exc, 0, 0] - g_eq.g[exc, 0, 0]
         inter = interaction_term(g_true, k_frf, loop=0)[exc]
-        _collect_curves(curves, "interaction_11", freqs_hz[exc], inter)
+        _collect_curves(blocks, "interaction_11", freqs_hz[exc], inter)
         extra["max_gap_vs_interaction_dev"] = _max_abs(gap - inter)
         extra["max_interaction_magnitude"] = _max_abs(inter)
     return ScenarioReport(cfg.scenario, cfg.echo(), estimates, oracles,
-                          curves, stats, defects, extra)
+                          blocks, stats, defects, extra)
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
@@ -775,10 +779,9 @@ def export_report(report: ScenarioReport, out_dir) -> list:
         written.append(fname)
 
     with (out / "curves.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["series", "kind", "frequency_hz", "value_db"])
-        for series, kind, f, v in report.curves:
-            writer.writerow([series, kind, repr(f), repr(v)])
+        fh.write(_csv_fields(["series", "kind", "frequency_hz", "value_db"]) + "\n")
+        for series, kind, hz, db in report.curve_blocks:
+            _write_csv_rows(fh, [hz, db], prefix=_csv_fields([series, kind]) + ",")
     written.append("curves.csv")
 
     summary = {

@@ -10,14 +10,12 @@ entries instead of failing silently.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .signals import SpectrumSet, WindowFunction
+from .signals import SpectrumSet, WindowFunction, _write_csv
 
 TWO_PI = 2.0 * math.pi
 
@@ -500,41 +498,23 @@ def lpm_fit(spectra: SpectrumSet, cfg: LpmConfig = None, input_channels=(0,),
     return est
 
 
-def _entry_names(est: FrfEstimate):
-    return [(i, j, f"g{i + 1}{j + 1}") for i in range(est.n_outputs)
-            for j in range(est.n_inputs)]
-
-
 def write_frf_csv(est: FrfEstimate, path) -> None:
     """FRF export: frequency_hz, then re/im/variance per (output, input)
     entry, transient re/im per output when present, condition number when
     present."""
-    path = Path(path)
-    has_var = est.variance is not None
-    header = ["frequency_hz"]
-    for _, _, name in _entry_names(est):
+    header, columns = ["frequency_hz"], [est.frequencies_hz]
+    for i, j in np.ndindex(est.n_outputs, est.n_inputs):
+        name = f"g{i + 1}{j + 1}"
         header += [f"{name}_re", f"{name}_im"]
-        if has_var:
+        columns += [est.g[:, i, j].real, est.g[:, i, j].imag]
+        if est.variance is not None:
             header.append(f"{name}_var")
+            columns.append(est.variance[:, i, j])
     if est.transient is not None:
         for i in range(est.n_outputs):
             header += [f"t{i + 1}_re", f"t{i + 1}_im"]
+            columns += [est.transient[:, i].real, est.transient[:, i].imag]
     if est.condition is not None:
         header.append("cond")
-    freqs_hz = est.frequencies_hz
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for k in range(est.n_bins):
-            row = [repr(float(freqs_hz[k]))]
-            for i, j, _ in _entry_names(est):
-                row += [repr(float(est.g[k, i, j].real)), repr(float(est.g[k, i, j].imag))]
-                if has_var:
-                    row.append(repr(float(est.variance[k, i, j])))
-            if est.transient is not None:
-                for i in range(est.n_outputs):
-                    row += [repr(float(est.transient[k, i].real)),
-                            repr(float(est.transient[k, i].imag))]
-            if est.condition is not None:
-                row.append(repr(float(est.condition[k])))
-            writer.writerow(row)
+        columns.append(est.condition)
+    _write_csv(path, header, columns)

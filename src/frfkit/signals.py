@@ -10,6 +10,7 @@ symmetry.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +18,10 @@ from pathlib import Path
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+
+# rows per write of the CSV writers: the strings of one chunk are all that
+# is held at once, so memory stays flat whatever the number of rows
+CSV_CHUNK = 1024
 
 _WINDOW_KINDS = ("rectangular", "hann")
 
@@ -329,15 +334,42 @@ def spectrum_set(x: TimeSeries, window_length: int = None,
                        x.channel_names, window, x.ts)
 
 
+def _csv_fields(fields) -> str:
+    """``fields`` joined into one line as ``csv.writer`` quotes them,
+    without the line end."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()[:-1]
+
+
+def _write_csv_rows(fh, columns, prefix: str = "") -> None:
+    """Write equal-length float columns as CSV rows, ``CSV_CHUNK`` rows
+    per write, each row led by the literal text ``prefix``.
+
+    A value is written as ``repr(float(x))``. Such text never needs
+    quoting, so the bytes equal what ``csv.writer`` writes for it.
+    """
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    n_rows = len(columns[0]) if columns else 0
+    if any(len(c) != n_rows for c in columns):
+        raise ValueError("CSV columns must have equal lengths")
+    sep = "\n" + prefix
+    for lo in range(0, n_rows, CSV_CHUNK):
+        cells = [map(repr, c[lo:lo + CSV_CHUNK].tolist()) for c in columns]
+        fh.write(prefix + sep.join(map(",".join, zip(*cells))) + "\n")
+
+
+def _write_csv(path, header, columns) -> None:
+    """Write a CSV file: the ``header`` line, then one row per index of the
+    1-D float ``columns``."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write(_csv_fields(header) + "\n")
+        _write_csv_rows(fh, columns)
+
+
 def write_timeseries_csv(x: TimeSeries, path) -> None:
     """Write a record as CSV: time_s column, one column per channel."""
-    path = Path(path)
-    t = x.time()
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["time_s", *x.channel_names])
-        for i in range(x.n_samples):
-            writer.writerow([repr(float(t[i])), *(repr(float(v)) for v in x.data[:, i])])
+    _write_csv(path, ["time_s", *x.channel_names], [x.time(), *x.data])
 
 
 def read_timeseries_csv(path) -> TimeSeries:

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import math
 import os
@@ -475,6 +476,20 @@ class TestExportReport:
         assert echo["multisine"]["period_samples"] == 500
         assert echo["controller"]["gain"] == 50.0
         assert echo["lpm"]["poly_order"] == 2
+
+    @pytest.mark.parametrize("doc", [FAST_TRANSIENT, FAST_MIMO],
+                             ids=["transient", "mimo"])
+    def test_curves_view_equals_curves_csv(self, tmp_path, doc):
+        # perfbench counts the reported bins from this per-point view
+        report = run_scenario(parse_config(write_config(tmp_path, doc)))
+        out = tmp_path / "out"
+        export_report(report, out)
+        with (out / "curves.csv").open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            assert next(reader) == ["series", "kind", "frequency_hz", "value_db"]
+            rows = [(series, kind, float(f), float(v)) for series, kind, f, v in reader]
+        assert rows
+        assert list(report.curves) == rows
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, FAST_TRANSIENT))

@@ -1,4 +1,6 @@
+import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from frfkit.estimators import (
     write_frf_csv,
 )
 from frfkit.signals import (
+    CSV_CHUNK,
     MultisineSpec,
     SpectrumSet,
     TimeSeries,
@@ -579,6 +582,94 @@ class TestExports:
         header = path.read_text().splitlines()[0].split(",")
         assert header == ["frequency_hz", "g11_re", "g11_im", "g12_re", "g12_im",
                           "g21_re", "g21_im", "g22_re", "g22_im", "cond"]
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(n_bins=st.sampled_from([0, 1, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1]),
+           n_y=st.integers(1, 3), n_u=st.integers(1, 3), has_var=st.booleans(),
+           has_transient=st.booleans(), has_cond=st.booleans(),
+           drawn=st.lists(st.floats(), max_size=8),
+           step=st.sampled_from([5e-324, 1e-300, 0.1, 1e300]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_csv_bytes_equal_row_by_row(self, tmp_path_factory, n_bins, n_y, n_u,
+                                        has_var, has_transient, has_cond, drawn,
+                                        step, seed):
+        pool = np.array(EXPORT_SPECIALS + drawn)
+        rng = np.random.default_rng(seed)
+
+        def pick(*shape):
+            return rng.choice(pool, size=shape)
+
+        def pick_complex(*shape):
+            z = pick(*shape).astype(complex)
+            z.imag = pick(*shape)  # 1j * inf would put NaN in the real part
+            return z
+
+        var = pick(n_bins, n_y, n_u)
+        est = FrfEstimate(
+            pick_complex(n_bins, n_y, n_u), np.arange(n_bins) * step,
+            variance=np.where(var < 0, -var, var) if has_var else None,  # keeps -0.0
+            transient=pick_complex(n_bins, n_y) if has_transient else None,
+            condition=pick(n_bins) if has_cond else None)
+        workdir = tmp_path_factory.mktemp("export")
+        write_frf_csv(est, workdir / "chunked.csv")
+        write_frf_csv_by_row(est, workdir / "by_row.csv")
+        assert (workdir / "chunked.csv").read_bytes() == (workdir / "by_row.csv").read_bytes()
+
+    def test_csv_memory_is_bounded(self, tmp_path):
+        # a 4-output LPM estimate of 50,001 bins: 21 columns; writing the
+        # whole file at once peaks at about 66 MB, CSV_CHUNK rows at about 2 MB
+        n_bins = 50_001
+        rng = np.random.default_rng(7)
+        g = rng.standard_normal((n_bins, 4, 1)) + 1j * rng.standard_normal((n_bins, 4, 1))
+        est = FrfEstimate(g, np.arange(n_bins) + 1.0, variance=np.abs(g.real),
+                          transient=g[:, :, 0])
+        tracemalloc.start()
+        try:
+            write_frf_csv(est, tmp_path / "frf.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
+# the extremes of the float format, always in the pool the export test draws from
+EXPORT_SPECIALS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                   1e-310, -2.5e-308, 1e300, -1e300, 1e-300, -1e-300]
+
+
+def write_frf_csv_by_row(est, path):
+    """The row-by-row export the package used before its chunked writer:
+    one ``repr(float(x))`` per cell, each row through ``csv.writer``."""
+    names = [(i, j, f"g{i + 1}{j + 1}") for i in range(est.n_outputs)
+             for j in range(est.n_inputs)]
+    has_var = est.variance is not None
+    header = ["frequency_hz"]
+    for _, _, name in names:
+        header += [f"{name}_re", f"{name}_im"]
+        if has_var:
+            header.append(f"{name}_var")
+    if est.transient is not None:
+        for i in range(est.n_outputs):
+            header += [f"t{i + 1}_re", f"t{i + 1}_im"]
+    if est.condition is not None:
+        header.append("cond")
+    freqs_hz = est.frequencies_hz
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for k in range(est.n_bins):
+            row = [repr(float(freqs_hz[k]))]
+            for i, j, _ in names:
+                row += [repr(float(est.g[k, i, j].real)), repr(float(est.g[k, i, j].imag))]
+                if has_var:
+                    row.append(repr(float(est.variance[k, i, j])))
+            if est.transient is not None:
+                for i in range(est.n_outputs):
+                    row += [repr(float(est.transient[k, i].real)),
+                            repr(float(est.transient[k, i].imag))]
+            if est.condition is not None:
+                row.append(repr(float(est.condition[k])))
+            writer.writerow(row)
 
 
 def defect_set(est) -> set:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frfkit.signals import (
+    CSV_CHUNK,
     MultisineSpec,
     TimeSeries,
     WindowFunction,
@@ -211,14 +212,16 @@ class TestSpectrumSet:
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
+        # more samples than one write chunk; a quoted channel name
         rng = np.random.default_rng(4)
-        x = TimeSeries(rng.standard_normal((2, 50)), 1e-3, ("u1", "y1"))
+        names = ("u1", 'y1, "filtered"')
+        x = TimeSeries(rng.standard_normal((2, CSV_CHUNK + 50)), 1e-3, names)
         path = tmp_path / "record.csv"
         write_timeseries_csv(x, path)
         back = read_timeseries_csv(path)
-        assert back.channel_names == ("u1", "y1")
+        assert back.channel_names == names
         assert back.ts == pytest.approx(1e-3, rel=1e-9)
-        assert np.allclose(back.data, x.data, atol=0.0)
+        assert np.array_equal(back.data, x.data)
 
     def test_header_and_line_endings(self, tmp_path):
         x = TimeSeries(np.arange(3.0), 0.25, ("pos",))

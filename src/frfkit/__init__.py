@@ -60,9 +60,7 @@ from .signals import (
     bin_frequencies,
     dft,
     generate_multisine,
-    read_timeseries_csv,
     spectrum_set,
-    write_timeseries_csv,
 )
 
 __version__ = "0.1.0"

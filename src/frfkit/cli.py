@@ -1,17 +1,21 @@
 """Scenario runner and command-line interface.
 
 Reproduces the package's benchmark studies end to end from a JSON
-configuration: simulate the closed loop, estimate, and compare every
-estimate with its analytic oracle. The transient-conditions study
+configuration. Each is the same experiment, a multisine on loop ``j``
+under feedback (:func:`run_experiment`), followed by an estimate and a
+comparison with the analytic oracle. The transient-conditions study
 (``transient_study``, or ``custom`` with explicit geometry) estimates
-the sensitivity of one excited loop with rectangular and Hann spectral
+the sensitivity of the excited loop with rectangular and Hann spectral
 analysis and the local polynomial method. The SISO closed-loop bias
-study runs the same single-experiment pipeline on that loop cut out as
-a SISO plant, with the direct and the indirect method. The MIMO study
-contrasts the full multivariable plant with the per-loop equivalent
-plant. ``_ESTIMATORS`` lists every estimator name; each oracle is
-evaluated once per bin grid. Identical configurations produce
-byte-identical numerical outputs.
+study cuts that loop out as a SISO plant and estimates it with the
+direct and the indirect method. The MIMO study runs one experiment per
+loop and contrasts the full multivariable plant with the per-loop
+equivalent plant. :func:`run_scenario` is the one path through all
+three: the studies differ only in their experiments and estimates, and
+one block reports curves, band statistics and defects for them.
+``_ESTIMATORS`` lists every estimator name; each oracle is evaluated
+once per bin grid. Identical configurations produce byte-identical
+numerical outputs.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 defect
 fraction (distinct defective (estimate, bin) pairs over all estimated
@@ -34,7 +38,6 @@ import numpy as np
 
 from . import __version__
 from .closedloop import (
-    ClosedLoopDataset,
     direct_bias_asymptote,
     direct_estimate,
     equivalent_plant,
@@ -42,6 +45,7 @@ from .closedloop import (
     full_plant,
     indirect_estimate,
     interaction_term,
+    run_experiment,
     run_mimo_experiments,
     sensitivity_pair,
     true_sensitivity,
@@ -52,20 +56,16 @@ from .sim import (
     StateSpaceModel,
     UnstableLoopError,
     benchmark_plant,
-    closed_loop_steady_state,
     discretize_zoh,
     read_statespace_json,
-    simulate_closed_loop,
     true_frf,
 )
 from .signals import (
     MultisineSpec,
-    TimeSeries,
     WindowFunction,
     _csv_fields,
     _write_csv_rows,
     bin_frequencies,
-    generate_multisine,
     spectrum_set,
 )
 
@@ -92,10 +92,12 @@ class _Estimator(NamedTuple):
 
     ``method`` "sa" averages one window per period; "lpm" fits one window
     over the used record, so its bins are the period's times
-    ``n_periods_used``. ``estimate`` calls the package function through
-    its name in this module, so a wrapper put there (perfbench's span
-    tracer does) sees the call. The MIMO study has no ``estimate``: it
-    hands ``method`` to :func:`run_mimo_experiments`.
+    ``n_periods_used``. :func:`run_scenario` calls ``estimate`` on the
+    one experiment of the transient and the bias study; it calls the
+    package function through its name in this module, so a wrapper put
+    there (perfbench's span tracer does) sees the call. The MIMO study
+    has no ``estimate``: the runner hands ``method`` to
+    :func:`run_mimo_experiments`, which estimates every loop's experiment.
     """
 
     method: str
@@ -594,21 +596,31 @@ def _defect_entries(name: str, est: FrfEstimate, freqs_hz) -> list:
     ]
 
 
-def _run_single_experiment(cfg: ScenarioConfig) -> ScenarioReport:
-    """One closed-loop experiment exciting one loop, then every estimator.
+def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
+    """Execute a validated scenario configuration. Deterministic given
+    the config (all randomness flows from the recorded seeds).
 
-    The transient study estimates the sensitivity of the excited loop of
-    the square plant; the bias study cuts that loop out as a SISO plant
-    and estimates the plant, next to the large-M limit of the direct
-    method. With ``steady_state_start`` the loop starts in the periodic
-    steady state of the noise-free response to one period.
+    Only the experiments and the estimates differ between the studies.
+    The transient study runs one experiment on the excited loop of the
+    square plant and estimates that loop's sensitivity with every listed
+    estimator; the bias study does the same on the loop cut out as a SISO
+    plant, estimating the plant. The MIMO study runs one experiment per
+    loop and extracts the full and the equivalent plant. Each compared
+    estimate comes with its reported bins (the excited bins of its grid)
+    and the oracle there; from these one block assembles the curves entry
+    by entry, the band statistics of entry 11 and the defect log. The
+    bias asymptote and the 2x2 interaction follow.
     """
-    bias = cfg.scenario == "closed_loop_siso_bias"
+    started = time.perf_counter()
     plant = _load_plant(cfg)
+    mimo = cfg.scenario == "mimo_full_vs_equivalent"
+    bias = cfg.scenario == "closed_loop_siso_bias"
     j = cfg.excited_channel - 1
-    if not bias and plant.n_inputs != plant.n_outputs:
+    if mimo and (plant.n_inputs != plant.n_outputs or plant.n_inputs < 2):
+        raise ConfigError("$.plant: the MIMO study needs a square multivariable plant")
+    if not (mimo or bias) and plant.n_inputs != plant.n_outputs:
         raise ConfigError("$.plant: transient study needs a square plant")
-    if j >= plant.n_inputs or j >= plant.n_outputs:
+    if not mimo and (j >= plant.n_inputs or j >= plant.n_outputs):
         raise ConfigError(f"$.excited_channel: plant has {plant.n_inputs} inputs")
     if bias:
         plant = StateSpaceModel(plant.a, plant.b[:, j:j + 1], plant.c[j:j + 1, :],
@@ -618,56 +630,73 @@ def _run_single_experiment(cfg: ScenarioConfig) -> ScenarioReport:
                                  cfg.controller_zero, cfg.controller_pole)
     spec = _build_spec(cfg)
     period = cfg.period_samples
-    d = np.zeros((plant.n_inputs, spec.total_samples))
-    d[j] = generate_multisine(spec, cfg.ts).data[0]
     noise = _noise_std(cfg, plant.n_outputs)
-    xp0 = xc0 = None
-    if cfg.steady_state_start:
-        xp0, xc0 = closed_loop_steady_state(plant, ctrl, TimeSeries(d[:, :period], cfg.ts))
-    record = simulate_closed_loop(plant, ctrl, TimeSeries(d, cfg.ts), noise_std=noise,
-                                  noise_seed=cfg.noise_seed, x_plant0=xp0, x_ctrl0=xc0)
-    dataset = ClosedLoopDataset.from_record(record, j)
-    if cfg.n_periods_used < cfg.n_periods_total:
-        dataset = dataset.tail_periods(period, cfg.n_periods_used)
-
-    oracle = (lambda w: true_frf(plant, w).g[:, 0, 0]) if bias \
-        else (lambda w: true_sensitivity(plant, ctrl, w)[:, j, j])
-    grids = {}  # window length in samples -> (bin frequencies, oracle there)
-
-    def on_grid(n_samples):
-        if n_samples not in grids:
-            w = bin_frequencies(n_samples, cfg.ts)
-            grids[n_samples] = w, oracle(w)
-        return grids[n_samples]
-
     exc = np.asarray(spec.excited_bins)
-    estimates, blocks, stats, defects = {}, [], {}, []
-    for name in cfg.estimators:
-        entry = _ESTIMATORS[cfg.scenario][name]
-        sa = entry.method == "sa"
-        est = entry.estimate(dataset, entry.method, period if sa else None,
-                             entry.window(period) if entry.window else None,
-                             None if sa else _lpm_config(cfg))
-        periods = 1 if sa else cfg.n_periods_used
-        truth = on_grid(period * periods)[1]
-        sel = periods * exc
-        freqs_hz = est.frequencies_hz
-        estimates[name] = est
-        _collect_curves(blocks, name, freqs_hz[sel], est.g[sel, 0, 0], truth[sel])
-        stats[name] = _band_stats(freqs_hz[sel], est.g[sel, 0, 0], truth[sel],
-                                  cfg.band_hz)
-        defects += _defect_entries(name, est, freqs_hz)
 
-    # the bias asymptote needs the period grid; the transient oracle takes
-    # the finest grid an estimator used
-    w, truth = on_grid(period if bias else min(grids))
-    oracles = {"oracle": FrfEstimate(
-        truth[:, None, None], w, variance=np.zeros((len(w), 1, 1)),
-        estimator_tag={"estimator": "plant_oracle" if bias else "sensitivity_oracle"})}
-    _collect_curves(blocks, "oracle", w / TWO_PI, truth)
+    if mimo:
+        method = _ESTIMATORS[cfg.scenario][cfg.estimators[0]].method
+        frm = run_mimo_experiments(
+            plant, ctrl, spec, noise_std=noise,
+            noise_seeds=tuple(cfg.noise_seed + k for k in range(plant.n_inputs)),
+            estimator=method, lpm_config=_lpm_config(cfg) if method == "lpm" else None,
+            n_periods_used=cfg.n_periods_used, start_at_steady_state=cfg.steady_state_start)
+        estimates = {"gs": frm.gs, "s": frm.s, "g_full": full_plant(frm),
+                     "g_equiv": equivalent_plant(frm)}
+        oracle = true_frf(plant, frm.gs.bin_frequencies)
+        k_frf = ctrl.frf(oracle.bin_frequencies)
+        shown = (cfg.n_periods_used if method == "lpm" else 1) * exc
+        compared = [("g_full", shown, oracle.g[shown]),
+                    ("g_equiv", shown, equivalent_plant_true(oracle.g, k_frf)[shown])]
+    else:
+        dataset = run_experiment(plant, ctrl, spec, j, noise, cfg.noise_seed,
+                                 cfg.n_periods_used, cfg.steady_state_start)
+        oracle_at = (lambda w: true_frf(plant, w).g) if bias \
+            else (lambda w: true_sensitivity(plant, ctrl, w)[:, j:j + 1, j:j + 1])
+        grids = {}  # window length in samples -> (bin frequencies, oracle there)
 
-    extra = {}
+        def on_grid(n_samples):
+            if n_samples not in grids:
+                w = bin_frequencies(n_samples, cfg.ts)
+                grids[n_samples] = w, oracle_at(w)
+            return grids[n_samples]
+
+        estimates, compared = {}, []
+        for name in cfg.estimators:
+            entry = _ESTIMATORS[cfg.scenario][name]
+            sa = entry.method == "sa"
+            estimates[name] = entry.estimate(dataset, entry.method, period if sa else None,
+                                             entry.window(period) if entry.window else None,
+                                             None if sa else _lpm_config(cfg))
+            periods = 1 if sa else cfg.n_periods_used
+            sel = periods * exc
+            compared.append((name, sel, on_grid(period * periods)[1][sel]))
+        # the bias asymptote needs the period grid; the transient oracle takes
+        # the finest grid an estimator used
+        w, g = on_grid(period if bias else min(grids))
+        oracle = FrfEstimate(
+            g, w, variance=np.zeros((len(w), 1, 1)),
+            estimator_tag={"estimator": "plant_oracle" if bias else "sensitivity_oracle"})
+        shown = slice(None)
+
+    n = oracle.n_outputs
+    blocks = []
+    for i, jj in np.ndindex(n, n):
+        label = f"_{i + 1}{jj + 1}" if n > 1 else ""
+        for name, sel, there in compared:
+            est = estimates[name]
+            _collect_curves(blocks, name + label, est.frequencies_hz[sel], est.g[sel, i, jj],
+                            there[:, i, jj])
+        _collect_curves(blocks, "oracle" + label, oracle.frequencies_hz[shown],
+                        oracle.g[shown, i, jj])
+    stats = {name: _band_stats(estimates[name].frequencies_hz[sel],
+                               estimates[name].g[sel, 0, 0], there[:, 0, 0], cfg.band_hz)
+             for name, sel, there in compared}
+    defects = [entry for name, est in estimates.items()
+               for entry in _defect_entries(name, est, est.frequencies_hz)]
+
+    oracles, extra = {"oracle": oracle}, {}
     if bias:
+        truth = g[:, 0, 0]
         sigma = float(noise[0])
         d_spec = spectrum_set(dataset.d, period).data[0, 0]
         asymptote = direct_bias_asymptote(truth, ctrl.frf(w)[:, 0, 0],
@@ -682,77 +711,14 @@ def _run_single_experiment(cfg: ScenarioConfig) -> ScenarioReport:
             dev = np.abs(est.g[exc, 0, 0] - asymptote[exc])
             ok = dev <= 3 * np.sqrt(est.variance[exc, 0, 0])
             extra["direct_within_3se_of_asymptote"] = float(np.mean(ok[np.isfinite(dev)]))
-    return ScenarioReport(cfg.scenario, cfg.echo(), estimates, oracles,
-                          blocks, stats, defects, extra)
-
-
-def _run_mimo_study(cfg: ScenarioConfig) -> ScenarioReport:
-    plant = _load_plant(cfg)
-    if plant.n_inputs != plant.n_outputs or plant.n_inputs < 2:
-        raise ConfigError("$.plant: the MIMO study needs a square multivariable plant")
-    ctrl = ControllerConfig.lead(plant.n_inputs, cfg.ts, cfg.controller_gain,
-                                 cfg.controller_zero, cfg.controller_pole)
-    spec = _build_spec(cfg)
-    estimator = _ESTIMATORS[cfg.scenario][cfg.estimators[0]].method
-    sigma = _noise_std(cfg, plant.n_outputs)
-    noise_seeds = tuple(cfg.noise_seed + k for k in range(plant.n_inputs)) \
-        if np.any(sigma > 0) else None
-    frm = run_mimo_experiments(
-        plant, ctrl, spec, noise_std=sigma,
-        phase_seeds=tuple(cfg.phase_seed + k for k in range(plant.n_inputs)),
-        noise_seeds=noise_seeds, estimator=estimator,
-        lpm_config=_lpm_config(cfg) if estimator == "lpm" else None,
-        n_periods_used=cfg.n_periods_used,
-        start_at_steady_state=cfg.steady_state_start)
-    g_full = full_plant(frm)
-    g_eq = equivalent_plant(frm)
-
-    freqs = g_full.bin_frequencies
-    freqs_hz = freqs / TWO_PI
-    exc = (cfg.n_periods_used if estimator == "lpm" else 1) * np.asarray(spec.excited_bins)
-    oracles = {"oracle": true_frf(plant, freqs)}
-    g_true = oracles["oracle"].g
-    k_frf = ctrl.frf(freqs)
-    eq_true = equivalent_plant_true(g_true, k_frf)
-
-    estimates = {"gs": frm.gs, "s": frm.s, "g_full": g_full, "g_equiv": g_eq}
-    blocks, stats, defects = [], {}, []
-    n = plant.n_inputs
-    for i in range(n):
-        for jj in range(n):
-            label = f"{i + 1}{jj + 1}"
-            _collect_curves(blocks, f"g_full_{label}", freqs_hz[exc],
-                            g_full.g[exc, i, jj], g_true[exc, i, jj])
-            _collect_curves(blocks, f"g_equiv_{label}", freqs_hz[exc],
-                            g_eq.g[exc, i, jj], eq_true[exc, i, jj])
-            _collect_curves(blocks, f"oracle_{label}", freqs_hz[exc],
-                            g_true[exc, i, jj])
-    stats["g_full"] = _band_stats(freqs_hz[exc], g_full.g[exc, 0, 0],
-                                  g_true[exc, 0, 0], cfg.band_hz)
-    stats["g_equiv"] = _band_stats(freqs_hz[exc], g_eq.g[exc, 0, 0],
-                                   eq_true[exc, 0, 0], cfg.band_hz)
-    for name, est in estimates.items():
-        defects += _defect_entries(name, est, freqs_hz)
-
-    extra = {}
-    if n == 2:
-        gap = g_full.g[exc, 0, 0] - g_eq.g[exc, 0, 0]
-        inter = interaction_term(g_true, k_frf, loop=0)[exc]
-        _collect_curves(blocks, "interaction_11", freqs_hz[exc], inter)
+    elif mimo and n == 2:
+        gap = estimates["g_full"].g[shown, 0, 0] - estimates["g_equiv"].g[shown, 0, 0]
+        inter = interaction_term(oracle.g, k_frf, loop=0)[shown]
+        _collect_curves(blocks, "interaction_11", oracle.frequencies_hz[shown], inter)
         extra["max_gap_vs_interaction_dev"] = _max_abs(gap - inter)
         extra["max_interaction_magnitude"] = _max_abs(inter)
-    return ScenarioReport(cfg.scenario, cfg.echo(), estimates, oracles,
-                          blocks, stats, defects, extra)
-
-
-def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
-    """Execute a validated scenario configuration. Deterministic given
-    the config (all randomness flows from the recorded seeds)."""
-    started = time.perf_counter()
-    if cfg.scenario == "mimo_full_vs_equivalent":
-        report = _run_mimo_study(cfg)
-    else:
-        report = _run_single_experiment(cfg)
+    report = ScenarioReport(cfg.scenario, cfg.echo(), estimates, oracles,
+                            blocks, stats, defects, extra)
     report.runtime_seconds = time.perf_counter() - started
     return report
 

@@ -194,6 +194,29 @@ def indirect_estimate(dataset: ClosedLoopDataset, estimator: str = "sa",
                        defects=gs.defects + defects)
 
 
+def run_experiment(plant: StateSpaceModel, ctrl: ControllerConfig, spec: MultisineSpec,
+                   j: int, noise_std=0.0, noise_seed: int = None, n_periods_used: int = None,
+                   start_at_steady_state: bool = False) -> ClosedLoopDataset:
+    """One closed-loop experiment: the multisine of ``spec`` on ``d_j``, the
+    other channels of ``d`` zero, of which the last ``n_periods_used``
+    periods (default all) are kept. With ``start_at_steady_state`` the loop
+    starts in the periodic steady state of the noise-free response to one
+    period. Only the kept periods outlive the call.
+    """
+    period = spec.period_samples
+    data = np.zeros((plant.n_inputs, spec.total_samples))
+    data[j] = generate_multisine(spec, plant.ts).data[0]
+    xp0 = xc0 = None
+    if start_at_steady_state:
+        xp0, xc0 = closed_loop_steady_state(plant, ctrl, TimeSeries(data[:, :period], plant.ts))
+    record = simulate_closed_loop(plant, ctrl, TimeSeries(data, plant.ts), noise_std=noise_std,
+                                  noise_seed=noise_seed, x_plant0=xp0, x_ctrl0=xc0)
+    dataset = ClosedLoopDataset.from_record(record, j)
+    if n_periods_used is not None and n_periods_used < spec.n_periods:
+        dataset = dataset.tail_periods(period, n_periods_used)
+    return dataset
+
+
 def run_mimo_experiments(plant: StateSpaceModel, ctrl: ControllerConfig,
                          spec: MultisineSpec, noise_std=0.0, phase_seeds=None,
                          noise_seeds=None, estimator: str = "sa",
@@ -226,54 +249,26 @@ def run_mimo_experiments(plant: StateSpaceModel, ctrl: ControllerConfig,
     else:
         noise_seeds = (None,) * n_u
 
-    period = spec.period_samples
     used = spec.n_periods if n_periods_used is None else int(n_periods_used)
     if not 1 <= used <= spec.n_periods:
         raise ValueError("n_periods_used must be within the simulated periods")
-    gs_cols, s_cols = [], []
-    gs_var, s_var = [], []
-    defects_gs, defects_s = [], []
-    freqs = None
-    for j in range(n_u):
-        exp_spec = replace(spec, phase_seed=phase_seeds[j])
-        mono = generate_multisine(exp_spec, plant.ts)
-        data = np.zeros((n_u, mono.n_samples))
-        data[j] = mono.data[0]
-        d = TimeSeries(data, plant.ts)
-        if start_at_steady_state:
-            xp0, xc0 = closed_loop_steady_state(
-                plant, ctrl, TimeSeries(data[:, :period], plant.ts))
-        else:
-            xp0 = xc0 = None
-        record = simulate_closed_loop(plant, ctrl, d, noise_std=noise_std,
-                                      noise_seed=noise_seeds[j],
-                                      x_plant0=xp0, x_ctrl0=xc0)
-        dataset = ClosedLoopDataset.from_record(record, excited_input_index=j)
-        if used < spec.n_periods:
-            dataset = dataset.tail_periods(period, used)
-        win_len = period if estimator == "sa" else None
-        gs_j, s_j = sensitivity_pair(dataset, estimator, window_length=win_len,
-                                     lpm_config=lpm_config)
-        gs_cols.append(gs_j.g[:, :, 0])
-        s_cols.append(s_j.g[:, :, 0])
-        gs_var.append(None if gs_j.variance is None else gs_j.variance[:, :, 0])
-        s_var.append(None if s_j.variance is None else s_j.variance[:, :, 0])
-        defects_gs += gs_j.defects
-        defects_s += s_j.defects
-        freqs = gs_j.bin_frequencies
+    win_len = spec.period_samples if estimator == "sa" else None
+    pairs = [sensitivity_pair(
+        run_experiment(plant, ctrl, replace(spec, phase_seed=phase_seeds[j]), j, noise_std,
+                       noise_seeds[j], used, start_at_steady_state),
+        estimator, window_length=win_len, lpm_config=lpm_config) for j in range(n_u)]
 
-    def assemble(cols, variances, defects, kind):
-        g = np.stack(cols, axis=2)
-        var = None
-        if all(v is not None for v in variances):
-            var = np.stack(variances, axis=2)
-        tag = {"estimator": estimator, "map": kind,
-               "phase_seeds": list(phase_seeds)}
-        return FrfEstimate(g, freqs, variance=var, estimator_tag=tag,
-                           defects=defects)
+    def assemble(columns, kind):
+        variances = [c.variance for c in columns]
+        tag = {"estimator": estimator, "map": kind, "phase_seeds": list(phase_seeds)}
+        return FrfEstimate(
+            np.concatenate([c.g for c in columns], axis=2), columns[-1].bin_frequencies,
+            variance=None if any(v is None for v in variances)
+            else np.concatenate(variances, axis=2),
+            estimator_tag=tag, defects=[d for c in columns for d in c.defects])
 
-    return FrmPair(assemble(gs_cols, gs_var, defects_gs, "process_sensitivity"),
-                   assemble(s_cols, s_var, defects_s, "sensitivity"))
+    gs, s = zip(*pairs)
+    return FrmPair(assemble(gs, "process_sensitivity"), assemble(s, "sensitivity"))
 
 
 def _plant(gs, s, var_gs=None, var_s=None):

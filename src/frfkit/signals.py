@@ -71,10 +71,6 @@ class TimeSeries:
     def n_samples(self) -> int:
         return self.data.shape[1]
 
-    def time(self) -> np.ndarray:
-        """Sample instants in seconds, starting at 0."""
-        return np.arange(self.n_samples) * self.ts
-
     def channel_index(self, key) -> int:
         if isinstance(key, str):
             try:
@@ -365,35 +361,3 @@ def _write_csv(path, header, columns) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         fh.write(_csv_fields(header) + "\n")
         _write_csv_rows(fh, columns)
-
-
-def write_timeseries_csv(x: TimeSeries, path) -> None:
-    """Write a record as CSV: time_s column, one column per channel."""
-    _write_csv(path, ["time_s", *x.channel_names], [x.time(), *x.data])
-
-
-def read_timeseries_csv(path) -> TimeSeries:
-    """Read a record written by :func:`write_timeseries_csv`.
-
-    The sampling period is inferred from the time column, which must be
-    uniform to within 1e-6 relative.
-    """
-    path = Path(path)
-    with path.open("r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if len(header) < 2 or header[0] != "time_s":
-            raise ValueError(f"{path}: expected a 'time_s' column followed by channels")
-        rows = [[float(v) for v in row] for row in reader if row]
-    if len(rows) < 1:
-        raise ValueError(f"{path}: no samples")
-    arr = np.asarray(rows, dtype=float)
-    t = arr[:, 0]
-    if len(t) > 1:
-        dt = np.diff(t)
-        ts = float(np.median(dt))
-        if np.max(np.abs(dt - ts)) > 1e-6 * max(ts, 1e-30):
-            raise ValueError(f"{path}: time column is not uniformly sampled")
-    else:
-        ts = 1.0
-    return TimeSeries(arr[:, 1:].T.copy(), ts, tuple(header[1:]))

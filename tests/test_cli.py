@@ -22,7 +22,16 @@ from frfkit.cli import (
     parse_config,
     run_scenario,
 )
-from frfkit.sim import benchmark_plant, write_statespace_json
+from frfkit.closedloop import true_sensitivity
+from frfkit.signals import bin_frequencies
+from frfkit.sim import (
+    ControllerConfig,
+    StateSpaceModel,
+    benchmark_plant,
+    discretize_zoh,
+    true_frf,
+    write_statespace_json,
+)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -445,6 +454,63 @@ class TestRunScenario:
             for noise in (1e-3, [1e-3])]
         assert np.array_equal(reports[0].estimates["gs"].g, reports[1].estimates["gs"].g)
 
+    @pytest.mark.parametrize("doc,listed,after", [
+        (FAST_TRANSIENT, ["lpm", "sa_rect"], []),
+        (FAST_BIAS, ["indirect_sa", "direct_sa"],
+         [("bias_asymptote", "magnitude_db"), ("bias_asymptote", "error_db")]),
+    ], ids=["transient", "bias"])
+    def test_curve_blocks_follow_the_listed_estimators(self, tmp_path, doc, listed, after):
+        report = run_scenario(parse_config(write_config(
+            tmp_path, {**doc, "estimators": listed})))
+        expected = [(name, kind) for name in listed
+                    for kind in ("magnitude_db", "error_db")]
+        expected += [("oracle", "magnitude_db")] + after
+        assert [(s, k) for s, k, _, _ in report.curve_blocks] == expected
+
+    def test_mimo_curve_blocks_are_entry_major(self, tmp_path):
+        report = run_scenario(parse_config(write_config(tmp_path, FAST_MIMO)))
+        expected = []
+        for entry in ("11", "12", "21", "22"):
+            expected += [(f"g_full_{entry}", "magnitude_db"), (f"g_full_{entry}", "error_db"),
+                         (f"g_equiv_{entry}", "magnitude_db"), (f"g_equiv_{entry}", "error_db"),
+                         (f"oracle_{entry}", "magnitude_db")]
+        expected.append(("interaction_11", "magnitude_db"))
+        assert [(s, k) for s, k, _, _ in report.curve_blocks] == expected
+
+    @pytest.mark.parametrize("scenario,estimator", [
+        ("transient_study", "sa_rect"), ("closed_loop_siso_bias", "direct_sa")])
+    def test_second_channel_oracle(self, tmp_path, scenario, estimator):
+        # the oracle belongs to loop 2: S_22 of the plant, or the G_22 cut out
+        doc = {"scenario": scenario, "fs_hz": 200.0, "excited_channel": 2,
+               "multisine": {"period_seconds": 0.5}, "n_periods_total": 3,
+               "n_periods_used": 2, "estimators": [estimator],
+               "seeds": {"phase": 1, "noise": 2}}
+        # the built-in plant is symmetric, so loop 2 gets a weaker drive
+        full = benchmark_plant()
+        b = full.b.copy()
+        b[3, 1] = 30.0
+        model = StateSpaceModel(full.a, b, full.c, full.d)
+        write_statespace_json(model, tmp_path / "plant.json")
+        doc["plant"] = {"source": "json", "path": str(tmp_path / "plant.json")}
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+        oracle = np.loadtxt(out / "oracle.csv", delimiter=",", skiprows=1)
+        ts = 1.0 / 200.0
+        w = bin_frequencies(100, ts)
+        plant = discretize_zoh(model, ts)
+        if scenario == "transient_study":
+            sensitivity = true_sensitivity(plant, ControllerConfig.lead(2, ts), w)
+            loops = [sensitivity[:, k, k] for k in range(2)]
+        else:
+            loops = [true_frf(StateSpaceModel(plant.a, plant.b[:, k:k + 1], plant.c[k:k + 1],
+                                              plant.d[k:k + 1, k:k + 1], ts=ts), w).g[:, 0, 0]
+                     for k in range(2)]
+        truth = loops[1]
+        assert np.max(np.abs(loops[0] - truth)) > 1e-2 * np.max(np.abs(truth))
+        np.testing.assert_allclose(oracle[:, 0], w / (2 * math.pi), rtol=1e-15)
+        np.testing.assert_allclose(oracle[:, 1] + 1j * oracle[:, 2], truth,
+                                   rtol=1e-12, atol=0.0)
+
 
 class TestExportReport:
     def test_transient_files(self, tmp_path):
@@ -703,6 +769,28 @@ class TestPlantFromJson:
                "output_dir": str(tmp_path / "out")}
         assert main(["run", str(write_config(tmp_path, doc))]) == 2
         assert "$.plant.path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario,plant,extra", [
+        ("transient_study", "non_square", {}),
+        ("transient_study", None, {"excited_channel": 3}),
+        ("closed_loop_siso_bias", None, {"excited_channel": 3}),
+        ("mimo_full_vs_equivalent", "siso", {}),
+    ], ids=["transient_non_square", "transient_channel_3", "bias_channel_3", "mimo_siso"])
+    def test_study_rejects_the_plant_by_path(self, tmp_path, capsys, scenario, plant, extra):
+        doc = {"scenario": scenario, "fs_hz": 200.0,
+               "multisine": {"period_seconds": 0.5}, "n_periods_total": 2,
+               "n_periods_used": 2, "seeds": {"phase": 1, "noise": 2},
+               "output_dir": str(tmp_path / "out"), **extra}
+        if plant is not None:
+            # both inputs and the first output, or the first loop alone
+            full = benchmark_plant()
+            inputs = 2 if plant == "non_square" else 1
+            model = StateSpaceModel(full.a, full.b[:, :inputs], full.c[:1], full.d[:1, :inputs])
+            write_statespace_json(model, tmp_path / "plant.json")
+            doc["plant"] = {"source": "json", "path": str(tmp_path / "plant.json")}
+        assert main(["run", str(write_config(tmp_path, doc))]) == 2
+        path = "$.plant:" if plant is not None else "$.excited_channel:"
+        assert path in capsys.readouterr().err
 
     def test_plant_path_must_be_a_string(self, tmp_path, capsys):
         doc = {**FAST_TRANSIENT, "plant": {"source": "json", "path": 5},
